@@ -23,7 +23,7 @@ from .observables import (
     observables_for,
     strategy_label,
 )
-from .oracle import simulate_pulses
+from .oracle import binomial_verdict, simulate_pulses
 
 VALIDATE_HEADER = (
     "strategy", "L", "quantity", "analytic", "empirical", "sigma", "z", "pass",
@@ -243,6 +243,8 @@ def _analytic_quantities(params: SystemParams, strategy: AttackStrategy) -> dict
 def _cmd_validate(args: argparse.Namespace) -> int:
     params = _load_params(args)
     strategy = _build_strategy(args)
+    if args.n_pulses < 1:
+        raise ConfigError(f"--n-pulses must be >= 1, got {args.n_pulses}")
     empirical = simulate_pulses(params, strategy, args.n_pulses, args.seed)
     denominators = {
         "n_pulses": empirical.n_pulses,
@@ -255,13 +257,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for name, (analytic, denom_name) in _analytic_quantities(params, strategy).items():
         measured = getattr(empirical, name)
         trials = denominators[denom_name]
-        sigma = math.sqrt(max(analytic * (1.0 - analytic), 0.0) / trials) if trials else math.nan
-        if sigma and not math.isnan(sigma):
-            z = (measured - analytic) / sigma
-            ok = abs(z) <= 3.0
-        else:
-            z = 0.0 if measured == analytic else math.inf
-            ok = measured == analytic
+        successes = round(measured * trials) if trials else 0
+        sigma, z, ok = binomial_verdict(successes, trials, analytic)
         all_pass &= ok
         rows.append((strategy_label(strategy), params.distance, name,
                      analytic, measured, sigma, z, ok))

@@ -1,14 +1,19 @@
 """Pulse-level Monte Carlo simulator of the Alice -> eavesdropper -> Bob chain.
 
 This is the brute-force cross-check for every closed-form probability in the
-package.  Each pulse is simulated mechanistically: a Poisson photon number at
-the source, the eavesdropper's photon-number gate (exact count for the ideal
-strategy, a binomially thinned count for the PNRD strategy), and a faked-state
-resend whose detection at Bob draws the receiver's four equally likely
-(result, basis) cases explicitly.  Double clicks resolve to a random bit and so
-contribute half weight to the error tallies; pulses the eavesdropper blocks
-reach Bob as a bare dark-count opportunity with probability d per gate, the
-same bookkeeping the closed forms use.
+package, so no draw is computed from a closed form.  Every pulse is simulated
+mechanistically, in as much detail as the tallies read:
+
+* Source: a Poisson photon number per pulse.
+* Gate: the ideal strategy attacks exactly the single-photon pulses; the PNRD
+  strategy attacks the pulses whose per-pulse binomially thinned count is one.
+* Blocked pulses reach Bob as a bare dark-count opportunity with probability d
+  per gate: their click count is one Binomial(blocked, d) draw, and each click
+  gets a random bit and a random Alice bit.
+* Resent faked states draw the receiver's four equally likely (result, basis)
+  cases explicitly, then one uniform u per detector: light if u < q, a dark
+  count alone if q <= u < q + (1 - q)*d, no click otherwise.  Double clicks
+  resolve to a random bit and so contribute half weight to the error tallies.
 
 Runs are deterministic: work is cut into fixed-size shards whose RNG streams
 are spawned from the master seed by shard index, and tallies merge in shard
@@ -29,6 +34,10 @@ from .model import SystemParams, channel_transmittance, efficiency_matrix
 from .observables import AttackStrategy, Baseline, PNRD, QND, strategy_label
 
 DEFAULT_SHARD_SIZE = 1_000_000
+
+# Closed-form agreement is judged at 3 sigma: two-sided tail erfc(3/sqrt 2).
+_Z_LIMIT = 3.0
+_P_LIMIT = math.erfc(_Z_LIMIT / math.sqrt(2.0))
 
 _STREAMS = ("signal", "decoy")
 _TALLY_KEYS = ("click0", "click1", "double_click", "loss", "sifted", "sifted_error")
@@ -128,27 +137,80 @@ def _ratio(successes: int, trials: int) -> float:
     return successes / trials if trials else math.nan
 
 
+def _binomial_two_sided_p(successes: int, trials: int, p: float) -> float:
+    """2 * min(P[X <= successes], P[X >= successes]) for X ~ Binomial(trials, p).
+
+    Sums the pmf from ``successes`` outward, away from the mean, where the terms
+    shrink geometrically; requires 0 < p < 1.
+    """
+    term = math.exp(
+        math.lgamma(trials + 1) - math.lgamma(successes + 1)
+        - math.lgamma(trials - successes + 1)
+        + successes * math.log(p) + (trials - successes) * math.log1p(-p)
+    )
+    odds = p / (1.0 - p)
+    total = term
+    j = successes
+    if successes >= trials * p:
+        while j < trials and term > total * 1e-17:
+            term *= (trials - j) / (j + 1) * odds
+            total += term
+            j += 1
+    else:
+        while j > 0 and term > total * 1e-17:
+            term *= j / (trials - j + 1) / odds
+            total += term
+            j -= 1
+    return min(1.0, 2.0 * total)
+
+
+def binomial_verdict(successes: int, trials: int, p: float) -> tuple[float, float, bool]:
+    """Standard error, z-score and 3-sigma verdict of ``successes``/``trials`` against ``p``.
+
+    The z-score uses the normal approximation, but a quantity fails only when
+    |z| > 3 and the exact two-sided binomial tail is also below that of 3
+    sigma: at expected counts well below one, |z| alone flags far more often
+    than 3 sigma allows.  With no trials, or a rate of exactly 0 or 1, the
+    estimate must equal ``p``.
+    """
+    sigma = math.sqrt(max(p * (1.0 - p), 0.0) / trials) if trials else math.nan
+    measured = _ratio(successes, trials)
+    if not sigma or math.isnan(sigma):
+        same = measured == p
+        return sigma, 0.0 if same else math.inf, same
+    z = (measured - p) / sigma
+    ok = abs(z) <= _Z_LIMIT or _binomial_two_sided_p(successes, trials, p) >= _P_LIMIT
+    return sigma, z, ok
+
+
 def _resend_click_tables(strategy: QND | PNRD, params: SystemParams):
-    """Light-click probability per detector for each (bob_matches, result) case.
+    """Per-detector light and click thresholds for each (bob_matches, result) case.
 
     Case index is 2*bob_matches + result; a basis-matched faked state puts all
     its amplitude on the opposite-bit detector, a mismatched one splits in half.
+    Row 0 is detector 0, row 1 detector 1.  A detector sees light with
+    probability q and, independently, a dark count with probability d, so it
+    clicks with probability q + (1 - q)*d; one uniform u per detector decides
+    light (u < q), dark only (q <= u < q + (1 - q)*d) or nothing.
     """
     eff = efficiency_matrix(params, strategy.k)
     mu0 = mu1 = strategy.mu_prime
-    p_det0 = np.array([
-        1.0 - exp(-0.5 * mu0 * eff.eta_00),   # mismatch, result 0
-        1.0 - exp(-0.5 * mu1 * eff.eta_01),   # mismatch, result 1
-        0.0,                                  # match, result 0: bit-1 state
-        1.0 - exp(-mu1 * eff.eta_01),         # match, result 1: full arm
+    light = np.array([
+        [
+            1.0 - exp(-0.5 * mu0 * eff.eta_00),   # mismatch, result 0
+            1.0 - exp(-0.5 * mu1 * eff.eta_01),   # mismatch, result 1
+            0.0,                                  # match, result 0: bit-1 state
+            1.0 - exp(-mu1 * eff.eta_01),         # match, result 1: full arm
+        ],
+        [
+            1.0 - exp(-0.5 * mu0 * eff.eta_10),
+            1.0 - exp(-0.5 * mu1 * eff.eta_11),
+            1.0 - exp(-mu0 * eff.eta_10),
+            0.0,
+        ],
     ])
-    p_det1 = np.array([
-        1.0 - exp(-0.5 * mu0 * eff.eta_10),
-        1.0 - exp(-0.5 * mu1 * eff.eta_11),
-        1.0 - exp(-mu0 * eff.eta_10),
-        0.0,
-    ])
-    return p_det0, p_det1
+    click = light + (1.0 - light) * params.dark_count
+    return light, click
 
 
 def _simulate_attack_shard(
@@ -158,73 +220,78 @@ def _simulate_attack_shard(
     stream: str,
     m: int,
     counts: _Counts,
-    p_det0: np.ndarray,
-    p_det1: np.ndarray,
+    light: np.ndarray,
+    click: np.ndarray,
 ) -> None:
     intensity = params.mu if stream == "signal" else params.nu
-    d = params.dark_count
 
     photons = rng.poisson(intensity, size=m)
     if isinstance(strategy, QND):
-        attacked = photons == 1
+        ka = int(np.count_nonzero(photons == 1))
     else:
-        measured = rng.binomial(photons, strategy.eta_e)
-        attacked = measured == 1
-    ka = int(attacked.sum())
+        # Binomial(0, p) consumes no random numbers, so only the non-vacuum
+        # pulses need a gate draw.
+        measured = rng.binomial(photons[photons > 0], strategy.eta_e)
+        ka = int(np.count_nonzero(measured == 1))
     kb = m - ka
 
     # Blocked pulses: a single dark-count opportunity, random bit on click.
-    blocked_click = rng.random(kb) < d
-    blocked_bits = rng.integers(0, 2, size=kb)
-    blocked_alice = rng.integers(0, 2, size=kb)
-    blocked_err = blocked_click & (blocked_bits != blocked_alice)
-    n_block_click = int(blocked_click.sum())
-    n_block_err = int(blocked_err.sum())
-    block_det1 = int((blocked_bits[blocked_click] == 1).sum())
+    n_block_click = int(rng.binomial(kb, params.dark_count))
+    block_bits = rng.integers(0, 2, size=n_block_click, dtype=np.uint8)
+    block_alice = rng.integers(0, 2, size=n_block_click, dtype=np.uint8)
+    block_det1 = int(np.count_nonzero(block_bits))
+    n_block_err = int(np.count_nonzero(block_bits != block_alice))
 
-    # Resent pulses: draw the receiver case, light clicks, and dark counts.
-    result = rng.integers(0, 2, size=ka)
-    matches = rng.integers(0, 2, size=ka).astype(bool)
-    case = 2 * matches.astype(np.int64) + result
-    light0 = rng.random(ka) < p_det0[case]
-    light1 = rng.random(ka) < p_det1[case]
-    dark0 = rng.random(ka) < d
-    dark1 = rng.random(ka) < d
-    click0 = light0 | dark0
-    click1 = light1 | dark1
-    clicked = click0 | click1
+    # Resent pulses: draw the receiver case, then one uniform per detector.
+    case = rng.integers(0, 4, size=ka, dtype=np.uint8)
+    matches = case >= 2
+    result = (case & 1).view(bool)
+    u0 = rng.random(ka)
+    u1 = rng.random(ka)
+    click0 = u0 < click[0].take(case)
+    click1 = u1 < click[1].take(case)
+    single = click0 ^ click1
     double = click0 & click1
-    bits = np.where(click1, 1, 0)
-    bits[click0 & ~click1] = 0
-    coin = rng.integers(0, 2, size=ka)
-    bits = np.where(double, coin, bits)
+    # A double click resolves to a coin, drawn for the double clicks only.
+    coin = rng.integers(0, 2, size=int(np.count_nonzero(double)), dtype=np.uint8)
     # Bob-mismatch means the eavesdropper read Alice's basis, so her result is
     # Alice's bit; on Bob-match her basis differed and Alice's bit is fresh.
-    alice = np.where(matches, rng.integers(0, 2, size=ka), result)
-    errors = clicked & (bits != alice)
+    fresh = rng.integers(0, 2, size=ka, dtype=np.uint8).view(bool)
+    alice = result ^ (matches & (fresh ^ result))
+
+    n_click0 = int(np.count_nonzero(click0))
+    n_click1 = int(np.count_nonzero(click1))
+    n_double = coin.size
+    n_clicked = int(np.count_nonzero(single)) + n_double
+    # A single click reads detector 1's bit; it errs where that differs from Alice.
+    n_errors = int(np.count_nonzero(single & (click1 ^ alice))) + int(
+        np.count_nonzero(coin != alice[double])
+    )
 
     tally = counts.per_stream[stream]
-    tally["click0"] += int(click0.sum()) + (n_block_click - block_det1)
-    tally["click1"] += int(click1.sum()) + block_det1
-    tally["double_click"] += int(double.sum())
-    tally["loss"] += int((~clicked).sum()) + (kb - n_block_click)
-    tally["sifted"] += int(clicked.sum()) + n_block_click
-    tally["sifted_error"] += int(errors.sum()) + n_block_err
-    counts.clicks[stream] += int(clicked.sum()) + n_block_click
-    counts.errors[stream] += int(errors.sum()) + n_block_err
+    tally["click0"] += n_click0 + (n_block_click - block_det1)
+    tally["click1"] += n_click1 + block_det1
+    tally["double_click"] += n_double
+    tally["loss"] += (ka - n_clicked) + (kb - n_block_click)
+    tally["sifted"] += n_clicked + n_block_click
+    tally["sifted_error"] += n_errors + n_block_err
+    counts.clicks[stream] += n_clicked + n_block_click
+    counts.errors[stream] += n_errors + n_block_err
 
     counts.n_resend += ka
-    counts.resend_click0 += int(click0.sum())
-    counts.resend_click1 += int(click1.sum())
-    counts.resend_any += int(clicked.sum())
-    counts.resend_error += int(errors.sum())
+    counts.resend_click0 += n_click0
+    counts.resend_click1 += n_click1
+    counts.resend_any += n_clicked
+    counts.resend_error += n_errors
 
-    match_v0 = matches & (result == 0)
-    match_v1 = matches & (result == 1)
-    counts.n_match_v0 += int(match_v0.sum())
-    counts.light1_match_v0 += int((light1 & match_v0).sum())
-    counts.n_match_v1 += int(match_v1.sum())
-    counts.light0_match_v1 += int((light0 & match_v1).sum())
+    # Light-only tallies: detector 1 on (match, result 0), detector 0 on
+    # (match, result 1).
+    match_v0 = case == 2
+    match_v1 = case == 3
+    counts.n_match_v0 += int(np.count_nonzero(match_v0))
+    counts.light1_match_v0 += int(np.count_nonzero(match_v0 & (u1 < light[1, 2])))
+    counts.n_match_v1 += int(np.count_nonzero(match_v1))
+    counts.light0_match_v1 += int(np.count_nonzero(match_v1 & (u0 < light[0, 3])))
 
 
 def _simulate_baseline_shard(
@@ -280,14 +347,14 @@ def simulate_pulses(
     children = np.random.SeedSequence(seed).spawn(n_shards)
     attack = not isinstance(strategy, Baseline)
     if attack:
-        p_det0, p_det1 = _resend_click_tables(strategy, params)
+        light, click = _resend_click_tables(strategy, params)
     for index in range(n_shards):
         rng = np.random.default_rng(children[index])
         m = min(shard_size, n_pulses - index * shard_size)
         for stream in _STREAMS:
             if attack:
                 _simulate_attack_shard(
-                    rng, params, strategy, stream, m, counts, p_det0, p_det1
+                    rng, params, strategy, stream, m, counts, light, click
                 )
             else:
                 _simulate_baseline_shard(rng, params, stream, m, counts)

@@ -3,6 +3,7 @@
 import csv
 import json
 
+import pytest
 
 from decoy_fsa.cli import EXIT_CONFIG, EXIT_OK, build_parser, main
 
@@ -135,3 +136,11 @@ class TestValidate:
         assert code == EXIT_OK
         rows = read_csv(out)
         assert all(r["pass"] == "true" for r in rows)
+
+    @pytest.mark.parametrize("n_pulses", ["0", "-5"])
+    def test_non_positive_pulse_count_is_config_error(self, tmp_path, capsys, n_pulses):
+        code = main(["validate", "--strategy", "baseline", "--n-pulses", n_pulses,
+                     "--out", str(tmp_path / "val.csv")])
+        assert code == EXIT_CONFIG
+        assert "--n-pulses" in capsys.readouterr().err
+        assert not (tmp_path / "val.csv").exists()

@@ -4,11 +4,13 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoy_fsa.faked_states import FakedStateIntensities, p_arrive, p_click_det0, p_click_det1, p_error
 from decoy_fsa.model import GYS, efficiency_matrix
 from decoy_fsa.observables import Baseline, PNRD, QND, observables_for
-from decoy_fsa.oracle import simulate_pulses
+from decoy_fsa.oracle import binomial_verdict, simulate_pulses
 from decoy_fsa.security import table1_probs
 
 
@@ -65,6 +67,32 @@ class TestTrivialCases:
             assert t["sifted"] + t["loss"] == 123_456
             assert t["sifted_error"] <= t["sifted"]
 
+    @given(
+        data=st.data(),
+        qnd=st.booleans(),
+        shard_size=st.integers(1, 8),
+        dark_count=st.sampled_from([0.0, 1.7e-6, 0.3]),
+        mu_prime=st.sampled_from([0.0, 300.0, 1e6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tally_invariants_with_tiny_shards(
+        self, data, qnd, shard_size, dark_count, mu_prime, seed
+    ):
+        # Shards of one or a few pulses, with a short last shard, produce
+        # shards with no resent pulse and shards with no blocked pulse.
+        rest = data.draw(st.integers(1, max(shard_size - 1, 1)))
+        n_pulses = shard_size * data.draw(st.integers(0, 8)) + rest
+        strategy = (QND(mu_prime=mu_prime, k=1000.0) if qnd
+                    else PNRD(mu_prime=mu_prime, k=1000.0, eta_e=0.5))
+        params = GYS.replace(distance=1.0, dark_count=dark_count)
+        run = simulate_pulses(params, strategy, n_pulses, seed=seed, shard_size=shard_size)
+        for t in run.tallies.values():
+            assert t["sifted"] + t["loss"] == n_pulses
+            assert t["click0"] + t["click1"] - t["double_click"] == t["sifted"]
+            assert 0 <= t["sifted_error"] <= t["sifted"]
+        assert 0 <= run.n_resend <= 2 * n_pulses
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             simulate_pulses(GYS, Baseline(), 0, seed=1)
@@ -106,6 +134,27 @@ class TestClosedFormAgreement:
         assert_within_3sigma(run.n_resend / (2 * run.n_pulses), expected,
                              2 * run.n_pulses, "gating fraction")
 
+    @pytest.mark.parametrize("strategy", [
+        QND(mu_prime=2e5, k=2.0),
+        PNRD(mu_prime=2e5, k=2.0, eta_e=0.5),
+    ], ids=["qnd", "pnrd"])
+    def test_high_dark_count_agreement(self, strategy):
+        # With d = 1e-2 and light probabilities near one half, a dark-only
+        # band of d instead of (1 - q)*d, or a wrong blocked-click count,
+        # moves these estimates by many sigma; at d = 1.7e-6 neither shows.
+        params = GYS.replace(distance=2.0, dark_count=1e-2)
+        run = simulate_pulses(params, strategy, 10_000_000, seed=4242)
+        obs = observables_for(params, strategy)
+        eff = efficiency_matrix(params, strategy.k)
+        fs = FakedStateIntensities.symmetric(strategy.mu_prime)
+        d = params.dark_count
+
+        assert_within_3sigma(run.q_mu, obs.q_mu, run.n_pulses, "q_mu")
+        assert_within_3sigma(run.q_nu, obs.q_nu, run.n_pulses, "q_nu")
+        assert_within_3sigma(run.p_click0, p_click_det0(fs, eff, d), run.n_resend, "p_click0")
+        assert_within_3sigma(run.p_click1, p_click_det1(fs, eff, d), run.n_resend, "p_click1")
+        assert_within_3sigma(run.p_arrive, p_arrive(fs, eff, d), run.n_resend, "p_arrive")
+
     def test_baseline_agreement(self):
         params = GYS.replace(distance=60.0)
         run = simulate_pulses(params, Baseline(), 2_000_000, seed=13)
@@ -123,3 +172,31 @@ class TestConvergence:
         large = simulate_pulses(params, strategy, 1_000_000, seed=3)
         ratio = small.q_mu_se / large.q_mu_se
         assert 5.0 <= ratio <= 20.0  # 1/sqrt(n) predicts 10
+
+
+class TestBinomialVerdict:
+    def test_rare_count_judged_on_exact_tail(self):
+        # 2 events where 0.245 are expected: z = 3.55, but the exact
+        # two-sided binomial tail is 0.051.
+        _, z, ok = binomial_verdict(2, 34_672, 7.06e-6)
+        assert z > 3.0
+        assert ok
+
+    @pytest.mark.parametrize("z_target", [-3.5, -3.1, -2.9, 0.0, 2.9, 3.1, 3.5])
+    def test_large_counts_follow_three_sigma(self, z_target):
+        trials, p = 1_000_000, 0.3
+        sigma_count = math.sqrt(trials * p * (1.0 - p))
+        successes = round(trials * p + z_target * sigma_count)
+        sigma, z, ok = binomial_verdict(successes, trials, p)
+        assert sigma == pytest.approx(_sigma(p, trials))
+        assert ok == (abs(z) <= 3.0)
+
+    def test_biased_rate_fails(self):
+        _, z, ok = binomial_verdict(15_000, 1_000_000, 0.01)
+        assert z > 3.0
+        assert not ok
+
+    def test_degenerate_rates_need_exact_match(self):
+        assert binomial_verdict(0, 100, 0.0)[2]
+        assert not binomial_verdict(1, 100, 0.0)[2]
+        assert not binomial_verdict(0, 0, 0.5)[2]
