@@ -55,7 +55,6 @@ from .observables import (
     observables_baseline,
     observables_for,
     observables_pnrd,
-    observables_qnd,
     p_single,
 )
 from .oracle import EmpiricalObservables, simulate_pulses
@@ -109,7 +108,6 @@ __all__ = [
     "observables_baseline",
     "observables_for",
     "observables_pnrd",
-    "observables_qnd",
     "p_arrive",
     "p_click_det0",
     "p_click_det1",

@@ -12,8 +12,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from . import search, security
-from .faked_states import FakedStateIntensities
+from . import faked_states, search, security
 from .model import ConfigError, SystemParams, efficiency_matrix, preset
 from .observables import (
     AttackStrategy,
@@ -48,6 +47,19 @@ def _parse_values(text: str, name: str) -> tuple[float, ...]:
         return tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"invalid {name} specification {text!r}: {exc}") from exc
+
+
+def _grid_values(text: str, name: str, lo: float, hi: float) -> tuple[float, ...]:
+    values = _parse_values(text, name)
+    if any(b <= a for a, b in zip(values, values[1:])) or not all(lo <= v <= hi for v in values):
+        raise ConfigError(f"{name} must be strictly increasing within [{lo}, {hi}], got {text!r}")
+    return values
+
+
+def _search_eta_e(args: argparse.Namespace) -> float | None:
+    if args.eta_e is not None and not 0.0 < args.eta_e <= 1.0:
+        raise ConfigError(f"--eta-e must be in (0, 1], got {args.eta_e}")
+    return args.eta_e
 
 
 def _load_params(args: argparse.Namespace) -> SystemParams:
@@ -184,10 +196,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         eta_e = None
     else:
         grid = search.SweepGrid(
-            k_values=_parse_values(args.k_values, "--k-values"),
-            mu_prime_values=_parse_values(args.mu_prime_values, "--mu-prime-values"),
+            k_values=_grid_values(args.k_values, "--k-values", 1.0, search.K_MAX),
+            mu_prime_values=_grid_values(args.mu_prime_values, "--mu-prime-values", 0.0, math.inf),
         )
-        eta_e = args.eta_e
+        eta_e = _search_eta_e(args)
     rows = search.sweep_grid(params, grid, eta_e)
     out = args.out or f"sweep_{args.recipe or 'grid'}.csv"
     search.write_csv(out, search.SWEEP_HEADER, rows)
@@ -197,13 +209,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_kmin(args: argparse.Namespace) -> int:
     params = _load_params(args)
+    eta_e = _search_eta_e(args)
+    if not 0.0 < args.tol < math.inf:
+        raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
     if args.recipe == "fig4":
         distances = (1.0,) + tuple(float(x) for x in range(10, 141, 10))
     else:
         distances = _parse_values(args.distances, "--distances")
     rows = []
     for distance in distances:
-        result = search.k_min(params, distance, tol=args.tol, eta_e=args.eta_e)
+        result = search.k_min(params, distance, tol=args.tol, eta_e=eta_e)
         rows.append((result.distance, result.k_min, result.mu_prime_at_kmin,
                      result.converged))
     out = args.out or f"kmin_{args.recipe or 'scan'}.csv"
@@ -212,30 +227,24 @@ def _cmd_kmin(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _analytic_quantities(params: SystemParams, strategy: AttackStrategy) -> dict[str, tuple[float, str]]:
-    """Analytic values paired with the name of the matching empirical denominator."""
-    from . import faked_states as fs_mod
-
+def _analytic_quantities(params: SystemParams, strategy: AttackStrategy) -> dict[str, float]:
+    """Closed-form value of each quantity the Monte Carlo run estimates."""
     obs = observables_for(params, strategy)
-    quantities = {
-        "q_mu": (obs.q_mu, "n_pulses"),
-        "q_nu": (obs.q_nu, "n_pulses"),
-        "emu_qmu": (obs.emu_qmu, "n_pulses"),
-        "enu_qnu": (obs.enu_qnu, "n_pulses"),
-    }
+    quantities = {"q_mu": obs.q_mu, "q_nu": obs.q_nu,
+                  "emu_qmu": obs.emu_qmu, "enu_qnu": obs.enu_qnu}
     if isinstance(strategy, Baseline):
         return quantities
     eff = efficiency_matrix(params, strategy.k)
-    fs = FakedStateIntensities.symmetric(strategy.mu_prime)
+    fs = faked_states.FakedStateIntensities.symmetric(strategy.mu_prime)
     d = params.dark_count
     probs = security.table1_probs(fs, eff)
     quantities.update({
-        "p_click0": (fs_mod.p_click_det0(fs, eff, d), "n_resend"),
-        "p_click1": (fs_mod.p_click_det1(fs, eff, d), "n_resend"),
-        "p_arrive": (fs_mod.p_arrive(fs, eff, d), "n_resend"),
-        "p_error": (fs_mod.p_error(fs, eff, d), "n_resend"),
-        "r1": (probs.r1, "n_match_v0"),
-        "s0": (probs.s0, "n_match_v1"),
+        "p_click0": faked_states.p_click_det0(fs, eff, d),
+        "p_click1": faked_states.p_click_det1(fs, eff, d),
+        "p_arrive": faked_states.p_arrive(fs, eff, d),
+        "p_error": faked_states.p_error(fs, eff, d),
+        "r1": probs.r1,
+        "s0": probs.s0,
     })
     return quantities
 
@@ -246,22 +255,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if args.n_pulses < 1:
         raise ConfigError(f"--n-pulses must be >= 1, got {args.n_pulses}")
     empirical = simulate_pulses(params, strategy, args.n_pulses, args.seed)
-    denominators = {
-        "n_pulses": empirical.n_pulses,
-        "n_resend": empirical.n_resend,
-        "n_match_v0": empirical.n_match_v0,
-        "n_match_v1": empirical.n_match_v1,
-    }
     rows = []
     all_pass = True
-    for name, (analytic, denom_name) in _analytic_quantities(params, strategy).items():
-        measured = getattr(empirical, name)
-        trials = denominators[denom_name]
-        successes = round(measured * trials) if trials else 0
-        sigma, z, ok = binomial_verdict(successes, trials, analytic)
+    for name, analytic in _analytic_quantities(params, strategy).items():
+        sigma, z, ok = binomial_verdict(*empirical.counts[name], analytic)
         all_pass &= ok
         rows.append((strategy_label(strategy), params.distance, name,
-                     analytic, measured, sigma, z, ok))
+                     analytic, getattr(empirical, name), sigma, z, ok))
     out = args.out or "validate.csv"
     search.write_csv(out, VALIDATE_HEADER, rows)
     print(f"wrote {len(rows)} rows to {out}")

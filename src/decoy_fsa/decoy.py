@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import security
 from .model import SystemParams
@@ -60,10 +60,10 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def y1_lower(obs: Observables, params: SystemParams) -> float:
-    """Lower bound on the single-photon yield, clamped to [0, 1]."""
+def _y1_raw(obs: Observables, params: SystemParams) -> float:
+    """Weak+vacuum lower bound on the single-photon yield, before clamping."""
     mu, nu, d = params.mu, params.nu, params.dark_count
-    raw = (
+    return (
         mu
         / (mu * nu - nu**2)
         * (
@@ -72,7 +72,11 @@ def y1_lower(obs: Observables, params: SystemParams) -> float:
             - (mu**2 - nu**2) / mu**2 * d
         )
     )
-    return min(max(raw, 0.0), 1.0)
+
+
+def y1_lower(obs: Observables, params: SystemParams) -> float:
+    """Lower bound on the single-photon yield, clamped to [0, 1]."""
+    return min(max(_y1_raw(obs, params), 0.0), 1.0)
 
 
 def q1_lower(y1: float, mu: float) -> float:
@@ -92,44 +96,27 @@ def e1_upper(obs: Observables, y1: float, params: SystemParams) -> float:
 
 def decoy_bounds(obs: Observables, params: SystemParams) -> DecoyBounds:
     """Run the bound estimators and record the clamp/divergence flags."""
-    mu, nu, d = params.mu, params.nu, params.dark_count
-    raw_y1 = (
-        mu
-        / (mu * nu - nu**2)
-        * (
-            obs.q_nu * math.exp(nu)
-            - obs.q_mu * math.exp(mu) * nu**2 / mu**2
-            - (mu**2 - nu**2) / mu**2 * d
-        )
-    )
+    raw_y1 = _y1_raw(obs, params)
     y1 = min(max(raw_y1, 0.0), 1.0)
     e1 = e1_upper(obs, y1, params)
     return DecoyBounds(
         y1_lower=y1,
-        q1_lower=q1_lower(y1, mu),
+        q1_lower=q1_lower(y1, params.mu),
         e1_upper=e1,
         y1_clamped=raw_y1 != y1,
         e1_unbounded=math.isinf(e1),
     )
 
 
-def key_rate(
-    obs: Observables,
-    bounds: DecoyBounds,
-    params: SystemParams,
-    f_of_e: Callable[[float], float] | None = None,
-) -> float:
+def key_rate(obs: Observables, bounds: DecoyBounds, params: SystemParams) -> float:
     """GLLP secret key rate per pulse; negative means no key is distillable.
 
-    ``f_of_e`` hooks in a rate-dependent error-correction efficiency; by
-    default the constant factor from the system parameters is used.  The
-    single-photon error bound is clamped to [0, 1/2]: past 1/2 the privacy
+    The single-photon error bound is clamped to [0, 1/2]: past 1/2 the privacy
     amplification term is already zero and the entropy would turn back down.
     """
-    f = params.f_ec if f_of_e is None else f_of_e(obs.e_mu)
     e1 = min(max(bounds.e1_upper, 0.0), 0.5)
     return params.q_sift * (
-        -obs.q_mu * f * binary_entropy(obs.e_mu)
+        -obs.q_mu * params.f_ec * binary_entropy(obs.e_mu)
         + bounds.q1_lower * (1.0 - binary_entropy(e1))
     )
 

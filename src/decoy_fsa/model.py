@@ -55,25 +55,25 @@ class SystemParams:
     distance: float = 100.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.nu < self.mu:
+        if not 0.0 < self.nu < self.mu < math.inf:
             raise ConfigError(
-                f"need 0 < nu < mu (single-photon yield bound denominator), "
+                f"need 0 < nu < mu < inf (single-photon yield bound denominator), "
                 f"got nu={self.nu}, mu={self.mu}"
             )
         if not 0.0 <= self.dark_count < 1.0:
             raise ConfigError(f"dark_count must be in [0, 1), got {self.dark_count}")
         if not 0.0 < self.eta_bob <= 1.0:
             raise ConfigError(f"eta_bob must be in (0, 1], got {self.eta_bob}")
-        if self.alpha <= 0.0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
-        if self.distance < 0.0:
-            raise ConfigError(f"distance must be non-negative, got {self.distance}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ConfigError(f"alpha must be finite and positive, got {self.alpha}")
+        if not 0.0 <= self.distance < math.inf:
+            raise ConfigError(f"distance must be finite and non-negative, got {self.distance}")
         if not 0.0 <= self.e_detector <= 0.5:
             raise ConfigError(f"e_detector must be in [0, 0.5], got {self.e_detector}")
         if not 0.0 < self.q_sift <= 1.0:
             raise ConfigError(f"q_sift must be in (0, 1], got {self.q_sift}")
-        if self.f_ec < 1.0:
-            raise ConfigError(f"f_ec must be >= 1, got {self.f_ec}")
+        if not 1.0 <= self.f_ec < math.inf:
+            raise ConfigError(f"f_ec must be finite and >= 1, got {self.f_ec}")
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any], base: "SystemParams | None" = None) -> "SystemParams":

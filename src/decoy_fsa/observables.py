@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp
-from typing import Union
+from math import exp, inf
+from typing import ClassVar, Union
 
 from . import faked_states
 from .model import SystemParams, channel_transmittance, efficiency_matrix
@@ -22,8 +22,8 @@ class Baseline:
 
 
 @dataclass(frozen=True)
-class QND:
-    """Intercept-resend on every true single-photon pulse; multi-photon pulses blocked.
+class _ResendAttack:
+    """Faked-state intercept-resend gated on a measured photon count of one.
 
     Attributes:
         mu_prime: faked-state mean photon number (same at both timings).
@@ -34,14 +34,24 @@ class QND:
     k: float
 
     def __post_init__(self) -> None:
-        if self.mu_prime < 0.0:
-            raise ValueError(f"mu_prime must be non-negative, got {self.mu_prime}")
-        if self.k < 1.0:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        if not 0.0 <= self.mu_prime < inf:
+            raise ValueError(f"mu_prime must be finite and non-negative, got {self.mu_prime}")
+        if not 1.0 <= self.k < inf:
+            raise ValueError(f"k must be finite and >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)
-class PNRD:
+class QND(_ResendAttack):
+    """Intercept-resend on every true single-photon pulse; multi-photon pulses blocked.
+
+    This is the PNRD attack with a perfect detector, so ``eta_e`` is fixed at 1.
+    """
+
+    eta_e: ClassVar[float] = 1.0
+
+
+@dataclass(frozen=True)
+class PNRD(_ResendAttack):
     """Intercept-resend gated by a photon-number-resolving measurement.
 
     The eavesdropper resends only when her detectors report exactly one photon,
@@ -49,15 +59,10 @@ class PNRD:
     mu*eta_e*exp(-mu*eta_e) per signal pulse.
     """
 
-    mu_prime: float
-    k: float
     eta_e: float
 
     def __post_init__(self) -> None:
-        if self.mu_prime < 0.0:
-            raise ValueError(f"mu_prime must be non-negative, got {self.mu_prime}")
-        if self.k < 1.0:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        super().__post_init__()
         if not 0.0 < self.eta_e <= 1.0:
             raise ValueError(f"eta_e must be in (0, 1], got {self.eta_e}")
 
@@ -134,20 +139,12 @@ def _attack_observables(
     return Observables(q_mu=q_mu, q_nu=q_nu, emu_qmu=emu_qmu, enu_qnu=enu_qnu, e_mu=emu_qmu / q_mu)
 
 
-def observables_qnd(params: SystemParams, strategy: QND) -> Observables:
-    """Observables when every true single-photon pulse is intercepted and resent."""
-    eff = efficiency_matrix(params, strategy.k)
-    fs = faked_states.FakedStateIntensities.symmetric(strategy.mu_prime)
-    d = params.dark_count
-    arrive = faked_states.p_arrive(fs, eff, d)
-    error = faked_states.p_error(fs, eff, d)
-    attacked_mu = params.mu * exp(-params.mu)
-    attacked_nu = params.nu * exp(-params.nu)
-    return _attack_observables(arrive, error, attacked_mu, attacked_nu, d, params.e_detector)
+def observables_pnrd(params: SystemParams, strategy: QND | PNRD) -> Observables:
+    """Observables when resends are gated on a measured photon count of one.
 
-
-def observables_pnrd(params: SystemParams, strategy: PNRD) -> Observables:
-    """Observables when resends are gated on a measured photon count of one."""
+    The QND strategy is the case eta_e = 1, where p_single(mu, 1) = mu*exp(-mu)
+    attacks every true single-photon pulse.
+    """
     eff = efficiency_matrix(params, strategy.k)
     fs = faked_states.FakedStateIntensities.symmetric(strategy.mu_prime)
     d = params.dark_count
@@ -156,6 +153,9 @@ def observables_pnrd(params: SystemParams, strategy: PNRD) -> Observables:
     attacked_mu = p_single(params.mu, strategy.eta_e)
     attacked_nu = p_single(params.nu, strategy.eta_e)
     return _attack_observables(arrive, error, attacked_mu, attacked_nu, d, params.e_detector)
+
+
+observables_qnd = observables_pnrd
 
 
 def observables_baseline(params: SystemParams) -> Observables:
@@ -180,9 +180,7 @@ def observables_for(params: SystemParams, strategy: AttackStrategy) -> Observabl
     """Dispatch to the per-strategy observable model."""
     if isinstance(strategy, Baseline):
         return observables_baseline(params)
-    if isinstance(strategy, QND):
-        return observables_qnd(params, strategy)
-    if isinstance(strategy, PNRD):
+    if isinstance(strategy, _ResendAttack):
         return observables_pnrd(params, strategy)
     raise TypeError(f"unknown strategy type: {type(strategy).__name__}")
 

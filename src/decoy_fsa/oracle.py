@@ -5,8 +5,10 @@ package, so no draw is computed from a closed form.  Every pulse is simulated
 mechanistically, in as much detail as the tallies read:
 
 * Source: a Poisson photon number per pulse.
-* Gate: the ideal strategy attacks exactly the single-photon pulses; the PNRD
-  strategy attacks the pulses whose per-pulse binomially thinned count is one.
+* Gate: the eavesdropper attacks the pulses whose photon count, thinned by a
+  per-pulse binomial draw at her detector efficiency eta_e, is one.  At
+  eta_e = 1 (the ideal QND strategy) the count is the photon number itself and
+  nothing is drawn.
 * Blocked pulses reach Bob as a bare dark-count opportunity with probability d
   per gate: their click count is one Binomial(blocked, d) draw, and each click
   gets a random bit and a random Alice bit.
@@ -53,8 +55,6 @@ class _Counts:
     per_stream: dict[str, dict[str, int]] = field(
         default_factory=lambda: {s: {k: 0 for k in _TALLY_KEYS} for s in _STREAMS}
     )
-    clicks: dict[str, int] = field(default_factory=lambda: {s: 0 for s in _STREAMS})
-    errors: dict[str, int] = field(default_factory=lambda: {s: 0 for s in _STREAMS})
     n_resend: int = 0
     resend_click0: int = 0
     resend_click1: int = 0
@@ -68,56 +68,43 @@ class _Counts:
 
 @dataclass(frozen=True)
 class EmpiricalObservables:
-    """Estimates and binomial standard errors from one simulation run."""
+    """Estimates and binomial standard errors from one simulation run.
+
+    ``counts`` maps each estimated quantity (``q_mu``, ``q_nu``, ``emu_qmu``,
+    ``enu_qnu``, ``p_click0``, ``p_click1``, ``p_arrive``, ``p_error``, ``r1``,
+    ``s0``) to its integer (successes, trials).  Each name reads as an
+    attribute, successes/trials (nan without trials), and ``<name>_se`` as its
+    binomial standard error.
+    """
 
     params: SystemParams
     strategy: AttackStrategy
     n_pulses: int
     seed: int
-    q_mu: float
-    q_mu_se: float
-    q_nu: float
-    q_nu_se: float
-    emu_qmu: float
-    emu_qmu_se: float
-    enu_qnu: float
-    enu_qnu_se: float
-    p_click0: float
-    p_click0_se: float
-    p_click1: float
-    p_click1_se: float
-    p_arrive: float
-    p_arrive_se: float
-    p_error: float
-    p_error_se: float
-    r1: float
-    r1_se: float
-    s0: float
-    s0_se: float
     n_resend: int
     n_match_v0: int
     n_match_v1: int
     tallies: Mapping[str, Mapping[str, int]]
+    counts: Mapping[str, tuple[int, int]]
+
+    def __getattr__(self, name: str) -> float:
+        counts = self.__dict__.get("counts", {})
+        if name in counts:
+            return _ratio(*counts[name])
+        if name.endswith("_se") and name[:-3] in counts:
+            return _binom_se(*counts[name[:-3]])
+        raise AttributeError(name)
 
     def to_manifest(self) -> dict:
         """Structured record of the run for regression archiving."""
         return {
             "strategy": strategy_label(self.strategy),
-            "strategy_fields": {
-                k: v for k, v in vars(self.strategy).items()
-            },
-            "params": {k: v for k, v in vars(self.params).items()},
+            "strategy_fields": dict(vars(self.strategy)),
+            "params": dict(vars(self.params)),
             "n_pulses": self.n_pulses,
             "seed": self.seed,
             "estimates": {
-                name: getattr(self, name)
-                for name in (
-                    "q_mu", "q_mu_se", "q_nu", "q_nu_se",
-                    "emu_qmu", "emu_qmu_se", "enu_qnu", "enu_qnu_se",
-                    "p_click0", "p_click0_se", "p_click1", "p_click1_se",
-                    "p_arrive", "p_arrive_se", "p_error", "p_error_se",
-                    "r1", "r1_se", "s0", "s0_se",
-                )
+                key: getattr(self, key) for name in self.counts for key in (name, f"{name}_se")
             },
             "n_resend": self.n_resend,
             "n_match_v0": self.n_match_v0,
@@ -229,13 +216,11 @@ def _simulate_attack_shard(
     intensity = params.mu if stream == "signal" else params.nu
 
     photons = rng.poisson(intensity, size=m)
-    if isinstance(strategy, QND):
-        ka = int(np.count_nonzero(photons == 1))
-    else:
+    if strategy.eta_e < 1.0:
         # Binomial(0, p) consumes no random numbers, so only the non-vacuum
         # pulses need a gate draw.
-        measured = rng.binomial(photons[photons > 0], strategy.eta_e)
-        ka = int(np.count_nonzero(measured == 1))
+        photons = rng.binomial(photons[photons > 0], strategy.eta_e)
+    ka = int(np.count_nonzero(photons == 1))
     kb = m - ka
 
     # Blocked pulses: a single dark-count opportunity, random bit on click.
@@ -287,8 +272,6 @@ def _simulate_attack_shard(
     tally["loss"] += (ka - n_clicked) + (kb - n_block_click)
     tally["sifted"] += n_clicked + n_block_click
     tally["sifted_error"] += n_user_errors + n_block_err
-    counts.clicks[stream] += n_clicked + n_block_click
-    counts.errors[stream] += n_user_errors + n_block_err
 
     counts.n_resend += ka
     counts.resend_click0 += n_click0
@@ -332,8 +315,6 @@ def _simulate_baseline_shard(
     tally["loss"] += int((~clicked).sum())
     tally["sifted"] += int(clicked.sum())
     tally["sifted_error"] += int(errors.sum())
-    counts.clicks[stream] += int(clicked.sum())
-    counts.errors[stream] += int(errors.sum())
 
 
 def simulate_pulses(
@@ -371,34 +352,26 @@ def simulate_pulses(
             else:
                 _simulate_baseline_shard(rng, params, stream, m, counts)
 
-    n = n_pulses
+    signal, decoy = counts.per_stream["signal"], counts.per_stream["decoy"]
     return EmpiricalObservables(
         params=params,
         strategy=strategy,
-        n_pulses=n,
+        n_pulses=n_pulses,
         seed=seed,
-        q_mu=_ratio(counts.clicks["signal"], n),
-        q_mu_se=_binom_se(counts.clicks["signal"], n),
-        q_nu=_ratio(counts.clicks["decoy"], n),
-        q_nu_se=_binom_se(counts.clicks["decoy"], n),
-        emu_qmu=_ratio(counts.errors["signal"], n),
-        emu_qmu_se=_binom_se(counts.errors["signal"], n),
-        enu_qnu=_ratio(counts.errors["decoy"], n),
-        enu_qnu_se=_binom_se(counts.errors["decoy"], n),
-        p_click0=_ratio(counts.resend_click0, counts.n_resend),
-        p_click0_se=_binom_se(counts.resend_click0, counts.n_resend),
-        p_click1=_ratio(counts.resend_click1, counts.n_resend),
-        p_click1_se=_binom_se(counts.resend_click1, counts.n_resend),
-        p_arrive=_ratio(counts.resend_any, counts.n_resend),
-        p_arrive_se=_binom_se(counts.resend_any, counts.n_resend),
-        p_error=_ratio(counts.resend_error, counts.n_resend),
-        p_error_se=_binom_se(counts.resend_error, counts.n_resend),
-        r1=_ratio(counts.light1_match_v0, counts.n_match_v0),
-        r1_se=_binom_se(counts.light1_match_v0, counts.n_match_v0),
-        s0=_ratio(counts.light0_match_v1, counts.n_match_v1),
-        s0_se=_binom_se(counts.light0_match_v1, counts.n_match_v1),
         n_resend=counts.n_resend,
         n_match_v0=counts.n_match_v0,
         n_match_v1=counts.n_match_v1,
         tallies=counts.per_stream,
+        counts={
+            "q_mu": (signal["sifted"], n_pulses),
+            "q_nu": (decoy["sifted"], n_pulses),
+            "emu_qmu": (signal["sifted_error"], n_pulses),
+            "enu_qnu": (decoy["sifted_error"], n_pulses),
+            "p_click0": (counts.resend_click0, counts.n_resend),
+            "p_click1": (counts.resend_click1, counts.n_resend),
+            "p_arrive": (counts.resend_any, counts.n_resend),
+            "p_error": (counts.resend_error, counts.n_resend),
+            "r1": (counts.light1_match_v0, counts.n_match_v0),
+            "s0": (counts.light0_match_v1, counts.n_match_v1),
+        },
     )

@@ -50,11 +50,10 @@ SCAN_HEADER = (
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Ordered evaluation grid over mismatch ratio, intensity, and distance."""
+    """Ordered evaluation grid over mismatch ratio and intensity."""
 
     k_values: tuple[float, ...]
     mu_prime_values: tuple[float, ...]
-    l_values: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         for name in ("k_values", "mu_prime_values"):
@@ -65,8 +64,6 @@ class SweepGrid:
                 raise ValueError(f"{name} must be strictly increasing")
         if any(not 1.0 <= k <= K_MAX for k in self.k_values):
             raise ValueError(f"k_values must lie in [1, {K_MAX}]")
-        if self.l_values and any(b <= a for a, b in zip(self.l_values, self.l_values[1:])):
-            raise ValueError("l_values must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -160,8 +157,8 @@ def k_min(
     Non-convergence (no positive rate even at k = 1000) is a flagged result,
     not an error.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     p = params.replace(distance=distance)
 
     def probe(k: float) -> tuple[float, float]:

@@ -76,17 +76,14 @@ def r_absolute(
     parties', times the 1/2 per-case secure fraction, times the probability
     p_att that she mounted the resend at all.  Stated for the PNRD strategy;
     pass ``allow_qnd=True`` to apply the same accounting to the ideal
-    photon-number-measurement strategy.
+    photon-number-measurement strategy, its eta_e = 1 case.
     """
-    if isinstance(strategy, PNRD):
-        p_att = p_single(params.mu, strategy.eta_e)
-    elif isinstance(strategy, QND) and allow_qnd:
-        p_att = params.mu * exp(-params.mu)
-    else:
+    if not (isinstance(strategy, PNRD) or (allow_qnd and isinstance(strategy, QND))):
         raise TypeError(
             "residual-rate accounting is defined for the PNRD strategy "
             "(pass allow_qnd=True to extend it to the ideal strategy)"
         )
+    p_att = p_single(params.mu, strategy.eta_e)
     return 0.125 * p_att * (probs.r1 + probs.s0)
 
 

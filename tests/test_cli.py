@@ -61,6 +61,21 @@ class TestRate:
         assert code == EXIT_CONFIG
         assert "xyz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--distance", "nan"], "distance"),
+        (["--strategy", "qnd", "--k", "nan", "--mu-prime", "300"], "k"),
+        (["--strategy", "pnrd", "--k", "310", "--mu-prime", "nan", "--eta-e", "0.1"], "mu_prime"),
+    ])
+    def test_non_finite_input_names_the_field(self, capsys, argv, named):
+        assert main(["rate", *argv]) == EXIT_CONFIG
+        assert f"{named} must be finite" in capsys.readouterr().err
+
+    def test_non_finite_config_value_names_the_key(self, tmp_path, capsys):
+        config = tmp_path / "nan.json"
+        config.write_text('{"f_ec": NaN}')
+        assert main(["rate", "--config", str(config)]) == EXIT_CONFIG
+        assert "f_ec must be finite" in capsys.readouterr().err
+
 
 class TestScanRecipes:
     def test_fig3_two_curves_with_sign_changes(self, tmp_path, capsys):
@@ -117,6 +132,21 @@ class TestSweepAndKmin:
         ks = [float(r["k_min"]) for r in rows]
         assert all(b >= a - 1.0 for a, b in zip(ks, ks[1:]))
         assert all(r["converged"] == "true" for r in rows)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--k-values", "20,10"], "--k-values"),
+        (["sweep", "--k-values", "0.5"], "--k-values"),
+        (["sweep", "--mu-prime-values=-20,0"], "--mu-prime-values"),
+        (["sweep", "--eta-e", "0"], "--eta-e"),
+        (["kmin", "--eta-e", "2"], "--eta-e"),
+        (["kmin", "--tol", "0"], "--tol"),
+        (["kmin", "--tol", "inf"], "--tol"),
+    ])
+    def test_bad_search_argument_names_the_flag(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestValidate:

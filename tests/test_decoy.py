@@ -198,14 +198,6 @@ class TestKeyRate:
             rates_e.append(key_rate(obs, bounds, params))
         assert all(b <= a + 1e-15 for a, b in zip(rates_e, rates_e[1:]))
 
-    def test_rate_dependent_efficiency_hook(self):
-        params = GYS.replace(distance=100.0)
-        obs = observables_baseline(params)
-        bounds = decoy_bounds(obs, params)
-        flat = key_rate(obs, bounds, params)
-        hooked = key_rate(obs, bounds, params, f_of_e=lambda e: 2.0)
-        assert hooked < flat
-
 
 def _crossing(params_for, lo, hi):
     """Bisect the R = 0 distance of a strategy pipeline."""

@@ -1,6 +1,8 @@
 """Tests for the channel model, DEM geometry, and parameter handling."""
 
+import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -162,3 +164,9 @@ class TestSystemParams:
             SystemParams(e_detector=0.6)
         with pytest.raises(ConfigError):
             SystemParams(dark_count=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemParams)])
+    def test_non_finite_field_rejected_by_name(self, name, value):
+        with pytest.raises(ConfigError, match=rf"\b{name}\b.*{value}"):
+            SystemParams.from_dict({name: value})

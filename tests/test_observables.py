@@ -60,6 +60,25 @@ class TestPSingle:
             p_single(0.48, 1.1)
 
 
+class TestResendStrategies:
+    @pytest.mark.parametrize("make", [QND, lambda **kw: PNRD(eta_e=0.5, **kw)], ids=["qnd", "pnrd"])
+    @pytest.mark.parametrize("name, value", [
+        ("mu_prime", math.nan), ("mu_prime", math.inf), ("mu_prime", -1.0),
+        ("k", math.nan), ("k", math.inf), ("k", 0.5),
+    ])
+    def test_bad_attack_parameter_named(self, make, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            make(**{"mu_prime": 300.0, "k": 310.0, name: value})
+
+    def test_qnd_is_pnrd_at_unit_efficiency(self):
+        qnd = QND(mu_prime=300.0, k=310.0)
+        assert qnd.eta_e == 1.0
+        assert vars(qnd) == {"mu_prime": 300.0, "k": 310.0}
+        params = GYS.replace(distance=100.0, e_detector=0.033)
+        assert observables_for(params, qnd) == observables_pnrd(
+            params, PNRD(mu_prime=300.0, k=310.0, eta_e=1.0))
+
+
 class TestQndObservables:
     def test_degenerate_when_no_light_and_no_darks(self):
         params = GYS.replace(dark_count=0.0)

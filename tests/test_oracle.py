@@ -41,6 +41,17 @@ class TestDeterminism:
         b = simulate_pulses(GYS, strategy, 200_000, seed=124)
         assert a.tallies != b.tallies
 
+    def test_qnd_is_pnrd_at_unit_efficiency(self):
+        # At eta_e = 1 the gate is the photon number itself and draws nothing,
+        # so the ideal strategy and a perfect PNRD consume the same stream.
+        params = GYS.replace(distance=50.0, e_detector=0.033)
+        runs = [
+            simulate_pulses(params, strategy, 300_000, seed=11, shard_size=100_000)
+            for strategy in (QND(mu_prime=300.0, k=310.0), PNRD(mu_prime=300.0, k=310.0, eta_e=1.0))
+        ]
+        assert runs[0].tallies == runs[1].tallies
+        assert runs[0].counts == runs[1].counts
+
     def test_manifest_is_serializable_and_complete(self):
         strategy = PNRD(mu_prime=900.0, k=1000.0, eta_e=0.1)
         run = simulate_pulses(GYS, strategy, 50_000, seed=9)
@@ -98,6 +109,47 @@ class TestTrivialCases:
             simulate_pulses(GYS, Baseline(), 0, seed=1)
         with pytest.raises(ValueError):
             simulate_pulses(GYS, Baseline(), 10, seed=1, shard_size=0)
+
+
+class TestEstimateTable:
+    @pytest.mark.parametrize("strategy", [
+        Baseline(),
+        QND(mu_prime=300.0, k=310.0),
+        PNRD(mu_prime=900.0, k=1000.0, eta_e=0.1),
+    ], ids=["baseline", "qnd", "pnrd"])
+    def test_estimates_follow_the_integer_counts(self, strategy):
+        run = simulate_pulses(GYS.replace(distance=20.0), strategy, 200_000, seed=21)
+        n, signal, decoy = run.n_pulses, run.tallies["signal"], run.tallies["decoy"]
+        assert run.counts["q_mu"] == (signal["sifted"], n)
+        assert run.counts["q_nu"] == (decoy["sifted"], n)
+        assert run.counts["emu_qmu"] == (signal["sifted_error"], n)
+        assert run.counts["enu_qnu"] == (decoy["sifted_error"], n)
+        for name in ("p_click0", "p_click1", "p_arrive", "p_error"):
+            assert run.counts[name][1] == run.n_resend
+        assert run.counts["r1"][1] == run.n_match_v0
+        assert run.counts["s0"][1] == run.n_match_v1
+        # Only resent pulses double-click: click0 + click1 - any = doubles.
+        resent_doubles = (run.counts["p_click0"][0] + run.counts["p_click1"][0]
+                          - run.counts["p_arrive"][0])
+        assert resent_doubles == signal["double_click"] + decoy["double_click"]
+
+        for name, (successes, trials) in run.counts.items():
+            assert 0 <= successes <= trials
+            if trials == 0:
+                assert math.isnan(getattr(run, name)) and math.isnan(getattr(run, f"{name}_se"))
+                continue
+            assert getattr(run, name) == successes / trials
+            assert getattr(run, f"{name}_se") == _sigma(successes / trials, trials)
+        names = ("q_mu", "q_nu", "emu_qmu", "enu_qnu", "p_click0", "p_click1",
+                 "p_arrive", "p_error", "r1", "s0")
+        assert set(run.counts) == set(names)
+        estimates = json.loads(run.manifest_json())["estimates"]
+        assert set(estimates) == {key for name in names for key in (name, f"{name}_se")}
+
+    def test_unknown_estimate_is_an_attribute_error(self):
+        run = simulate_pulses(GYS, Baseline(), 10, seed=1)
+        assert not hasattr(run, "q_lambda")
+        assert not hasattr(run, "q_lambda_se")
 
 
 class TestClosedFormAgreement:

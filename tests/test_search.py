@@ -90,6 +90,13 @@ class TestKmin:
         with pytest.raises(ValueError):
             k_min(GYS, 50.0, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance(self, tol):
+        # An infinite tolerance used to skip the bisection and report
+        # k_min = 1000 as converged.
+        with pytest.raises(ValueError, match="tol must be finite"):
+            k_min(GYS, 50.0, tol=tol)
+
 
 class TestSweepGrid:
     def test_validation(self):
