@@ -12,116 +12,26 @@ suffers a timing-dependent detector efficiency mismatch:
   attackable mismatch ratio), and
 * an independent pulse-level Monte Carlo simulator validating every closed
   form at 3 sigma.
+
+The package root re-exports the quick-start names; everything else is
+imported from its module (``decoy_fsa.decoy``, ``decoy_fsa.search``, ...).
 """
 
-from .decoy import (
-    DecoyBounds,
-    RateReport,
-    binary_entropy,
-    decoy_bounds,
-    e1_upper,
-    evaluate,
-    key_rate,
-    q1_expansion,
-    q1_lower,
-    y1_lower,
-)
-from .faked_states import (
-    FakedStateIntensities,
-    p_arrive,
-    p_click_det0,
-    p_click_det1,
-    p_error,
-)
-from .model import (
-    GYS,
-    PRESETS,
-    ConfigError,
-    EfficiencyMatrix,
-    SystemParams,
-    channel_transmittance,
-    dem_efficiencies,
-    efficiency_matrix,
-    poisson_pmf,
-    preset,
-)
-from .observables import (
-    AttackStrategy,
-    Baseline,
-    DegenerateObservablesError,
-    Observables,
-    PNRD,
-    QND,
-    observables_baseline,
-    observables_for,
-    observables_pnrd,
-    p_single,
-)
-from .oracle import EmpiricalObservables, simulate_pulses
-from .search import (
-    KminResult,
-    ScanRow,
-    SweepGrid,
-    SweepRow,
-    best_rate_over_mu_prime,
-    distance_scan,
-    k_min,
-    sweep_grid,
-    write_csv,
-)
-from .security import Table1Probs, r_absolute, r_absolute_for, table1_probs
+from .decoy import evaluate
+from .model import GYS, SystemParams
+from .observables import PNRD, QND, Baseline
+from .oracle import simulate_pulses
+from .search import k_min
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackStrategy",
     "Baseline",
-    "ConfigError",
-    "DecoyBounds",
-    "DegenerateObservablesError",
-    "EfficiencyMatrix",
-    "EmpiricalObservables",
-    "FakedStateIntensities",
     "GYS",
-    "KminResult",
-    "Observables",
     "PNRD",
-    "PRESETS",
     "QND",
-    "RateReport",
-    "ScanRow",
-    "SweepGrid",
-    "SweepRow",
     "SystemParams",
-    "Table1Probs",
-    "best_rate_over_mu_prime",
-    "binary_entropy",
-    "channel_transmittance",
-    "decoy_bounds",
-    "dem_efficiencies",
-    "distance_scan",
-    "e1_upper",
-    "efficiency_matrix",
     "evaluate",
     "k_min",
-    "key_rate",
-    "observables_baseline",
-    "observables_for",
-    "observables_pnrd",
-    "p_arrive",
-    "p_click_det0",
-    "p_click_det1",
-    "p_error",
-    "p_single",
-    "poisson_pmf",
-    "preset",
-    "q1_expansion",
-    "q1_lower",
-    "r_absolute",
-    "r_absolute_for",
     "simulate_pulses",
-    "sweep_grid",
-    "table1_probs",
-    "write_csv",
-    "y1_lower",
 ]

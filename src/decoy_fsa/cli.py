@@ -1,4 +1,7 @@
-"""Command-line front end: presets, figure-reproduction recipes, CSV output.
+"""Command-line front end: figure-reproduction recipes, CSV output.
+
+Parameters start from the GYS link constants, overridden by a flat JSON file
+(``--config``) and then by command-line flags.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error, 3 validation
 failure (analytic vs Monte Carlo disagreement beyond 3 sigma).
@@ -13,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import faked_states, search, security
-from .model import ConfigError, SystemParams, efficiency_matrix, preset
+from .model import GYS, ConfigError, SystemParams, efficiency_matrix
 from .observables import (
     AttackStrategy,
     Baseline,
@@ -63,9 +66,7 @@ def _search_eta_e(args: argparse.Namespace) -> float | None:
 
 
 def _load_params(args: argparse.Namespace) -> SystemParams:
-    params = preset(args.preset)
-    if args.config is not None:
-        params = SystemParams.from_config(args.config, base=params)
+    params = GYS if args.config is None else SystemParams.from_config(args.config, base=GYS)
     if getattr(args, "distance", None) is not None:
         params = params.replace(distance=args.distance)
     return params
@@ -98,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, with_strategy: bool = True) -> None:
-        p.add_argument("--preset", default="gys", help="named parameter preset")
         p.add_argument("--config", default=None, help="flat JSON parameter file")
         p.add_argument("--out", default=None, help="output CSV path")
         if with_strategy:
@@ -254,6 +254,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     strategy = _build_strategy(args)
     if args.n_pulses < 1:
         raise ConfigError(f"--n-pulses must be >= 1, got {args.n_pulses}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     empirical = simulate_pulses(params, strategy, args.n_pulses, args.seed)
     rows = []
     all_pass = True

@@ -115,15 +115,6 @@ class SystemParams:
 # and acceptance criterion 1 runs at it.
 GYS = SystemParams()
 
-PRESETS: dict[str, SystemParams] = {"gys": GYS}
-
-
-def preset(name: str) -> SystemParams:
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise ConfigError(f"unknown preset: {name!r} (available: {sorted(PRESETS)})") from None
-
 
 @dataclass(frozen=True)
 class EfficiencyMatrix:

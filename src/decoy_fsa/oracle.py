@@ -95,9 +95,9 @@ class EmpiricalObservables:
             return _binom_se(*counts[name[:-3]])
         raise AttributeError(name)
 
-    def to_manifest(self) -> dict:
-        """Structured record of the run for regression archiving."""
-        return {
+    def manifest_json(self) -> str:
+        """JSON record of the run for regression archiving."""
+        manifest = {
             "strategy": strategy_label(self.strategy),
             "strategy_fields": dict(vars(self.strategy)),
             "params": dict(vars(self.params)),
@@ -111,9 +111,7 @@ class EmpiricalObservables:
             "n_match_v1": self.n_match_v1,
             "tallies": {s: dict(t) for s, t in self.tallies.items()},
         }
-
-    def manifest_json(self) -> str:
-        return json.dumps(self.to_manifest(), indent=2, sort_keys=True)
+        return json.dumps(manifest, indent=2, sort_keys=True)
 
 
 def _binom_se(successes: int, trials: int) -> float:

@@ -119,11 +119,12 @@ def best_rate_over_mu_prime(
     """Grid-maximize the attacked key rate over the faked-state intensity.
 
     Returns (mu_prime*, rate*); ties break toward the smaller intensity.  A
-    negative rate* means the attack is infeasible at this mismatch ratio.
+    negative rate* means the attack is infeasible at this mismatch ratio; it is
+    -inf, at the first intensity, when every point is degenerate.
     """
     if len(mu_primes) == 0:
         raise ValueError("mu_prime grid must be non-empty")
-    best_mu, best_rate = None, -math.inf
+    best_mu, best_rate = mu_primes[0], -math.inf
     for mu_prime in mu_primes:
         rate = _rate_at(params, k, mu_prime, eta_e)
         if rate > best_rate:
@@ -136,14 +137,12 @@ def _two_stage_best(
 ) -> tuple[float, float]:
     """Coarse grid pass over [0, 2000] step 10, then a unit-step local refinement."""
     coarse = [i * COARSE_MU_STEP for i in range(int(COARSE_MU_MAX / COARSE_MU_STEP) + 1)]
-    mu_star, rate_star = best_rate_over_mu_prime(params, k, coarse, eta_e)
+    mu_star, _ = best_rate_over_mu_prime(params, k, coarse, eta_e)
     lo = max(0.0, mu_star - COARSE_MU_STEP)
     hi = min(COARSE_MU_MAX, mu_star + COARSE_MU_STEP)
     fine = [lo + i * FINE_MU_STEP for i in range(int(round((hi - lo) / FINE_MU_STEP)) + 1)]
-    mu_fine, rate_fine = best_rate_over_mu_prime(params, k, fine, eta_e)
-    if rate_fine > rate_star or (rate_fine == rate_star and mu_fine < mu_star):
-        return mu_fine, rate_fine
-    return mu_star, rate_star
+    # The fine grid holds mu_star, so its optimum is never worse than the coarse one.
+    return best_rate_over_mu_prime(params, k, fine, eta_e)
 
 
 def k_min(
@@ -160,21 +159,18 @@ def k_min(
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     p = params.replace(distance=distance)
-
-    def probe(k: float) -> tuple[float, float]:
-        return _two_stage_best(p, k, eta_e)
-
-    mu_hi, rate_hi = probe(K_MAX)
+    mu_hi, rate_hi = _two_stage_best(p, K_MAX, eta_e)
     if rate_hi <= 0.0:
         return KminResult(distance=distance, k_min=math.inf, mu_prime_at_kmin=math.nan, converged=False)
-    mu_lo, rate_lo = probe(1.0)
+    mu_lo, rate_lo = _two_stage_best(p, 1.0, eta_e)
     if rate_lo > 0.0:
         return KminResult(distance=distance, k_min=1.0, mu_prime_at_kmin=mu_lo, converged=True)
-    lo, hi = 1.0, K_MAX
-    mu_at_hi = mu_hi
+    lo, hi, mu_at_hi = 1.0, K_MAX, mu_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        mu_mid, rate_mid = probe(mid)
+        if mid in (lo, hi):  # tol below the float spacing of k
+            break
+        mu_mid, rate_mid = _two_stage_best(p, mid, eta_e)
         if rate_mid > 0.0:
             hi, mu_at_hi = mid, mu_mid
         else:

@@ -63,18 +63,15 @@ def table1_probs(fs: FakedStateIntensities, eff: EfficiencyMatrix) -> Table1Prob
     )
 
 
-def r_absolute(
-    params: SystemParams,
-    strategy: PNRD | QND,
-    probs: Table1Probs,
-    *,
-    allow_qnd: bool = False,
+def r_absolute_for(
+    params: SystemParams, strategy: PNRD | QND, *, allow_qnd: bool = False
 ) -> float:
     """Per-pulse rate of key bits the eavesdropper cannot know.
 
     (1/8)*p_att*(r1 + s0): the 1/4 chance that her basis differs from both
     parties', times the 1/2 per-case secure fraction, times the probability
-    p_att that she mounted the resend at all.  Stated for the PNRD strategy;
+    p_att that she mounted the resend at all; r1 and s0 come from the outcome
+    table of the strategy's own faked states.  Stated for the PNRD strategy;
     pass ``allow_qnd=True`` to apply the same accounting to the ideal
     photon-number-measurement strategy, its eta_e = 1 case.
     """
@@ -83,14 +80,7 @@ def r_absolute(
             "residual-rate accounting is defined for the PNRD strategy "
             "(pass allow_qnd=True to extend it to the ideal strategy)"
         )
+    eff = efficiency_matrix(params, strategy.k)
+    probs = table1_probs(FakedStateIntensities.symmetric(strategy.mu_prime), eff)
     p_att = p_single(params.mu, strategy.eta_e)
     return 0.125 * p_att * (probs.r1 + probs.s0)
-
-
-def r_absolute_for(
-    params: SystemParams, strategy: PNRD | QND, *, allow_qnd: bool = False
-) -> float:
-    """Convenience wrapper deriving the outcome table from the strategy itself."""
-    eff = efficiency_matrix(params, strategy.k)
-    fs = FakedStateIntensities.symmetric(strategy.mu_prime)
-    return r_absolute(params, strategy, table1_probs(fs, eff), allow_qnd=allow_qnd)

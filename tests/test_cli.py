@@ -56,11 +56,6 @@ class TestRate:
         err = capsys.readouterr().err
         assert "--k" in err and "--mu-prime" in err
 
-    def test_unknown_preset(self, capsys):
-        code = main(["rate", "--preset", "xyz"])
-        assert code == EXIT_CONFIG
-        assert "xyz" in capsys.readouterr().err
-
     @pytest.mark.parametrize("argv, named", [
         (["--distance", "nan"], "distance"),
         (["--strategy", "qnd", "--k", "nan", "--mu-prime", "300"], "k"),
@@ -133,6 +128,15 @@ class TestSweepAndKmin:
         assert all(b >= a - 1.0 for a, b in zip(ks, ks[1:]))
         assert all(r["converged"] == "true" for r in rows)
 
+    def test_kmin_all_degenerate_distance_is_flagged(self, tmp_path):
+        config = tmp_path / "dark.json"
+        config.write_text(json.dumps({"dark_count": 0}))
+        out = tmp_path / "kmin.csv"
+        code = main(["kmin", "--config", str(config), "--distances", "900",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        assert [(r["k_min"], r["converged"]) for r in read_csv(out)] == [("inf", "false")]
+
     @pytest.mark.parametrize("argv, flag", [
         (["sweep", "--k-values", "20,10"], "--k-values"),
         (["sweep", "--k-values", "0.5"], "--k-values"),
@@ -141,6 +145,7 @@ class TestSweepAndKmin:
         (["kmin", "--eta-e", "2"], "--eta-e"),
         (["kmin", "--tol", "0"], "--tol"),
         (["kmin", "--tol", "inf"], "--tol"),
+        (["validate", "--seed", "-1"], "--seed"),
     ])
     def test_bad_search_argument_names_the_flag(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "out.csv"

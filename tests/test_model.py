@@ -16,7 +16,6 @@ from decoy_fsa.model import (
     dem_efficiencies,
     efficiency_matrix,
     poisson_pmf,
-    preset,
 )
 
 # Frozen with 40-digit arithmetic.
@@ -123,13 +122,9 @@ class TestPoissonPmf:
 
 class TestSystemParams:
     def test_gys_preset_values(self):
-        p = preset("gys")
+        p = GYS
         assert (p.alpha, p.dark_count, p.eta_bob) == (0.21, 1.7e-6, 0.045)
         assert (p.mu, p.nu, p.f_ec, p.q_sift, p.e_detector) == (0.48, 0.05, 1.22, 0.5, 0.0)
-
-    def test_unknown_preset(self):
-        with pytest.raises(ConfigError, match="nosuch"):
-            preset("nosuch")
 
     def test_decoy_must_be_weaker_than_signal(self):
         with pytest.raises(ConfigError):

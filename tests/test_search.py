@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from decoy_fsa import search
 from decoy_fsa.model import GYS
 from decoy_fsa.observables import PNRD, QND, Baseline
 from decoy_fsa.search import (
@@ -48,6 +49,12 @@ class TestBestRateOverMuPrime:
         with pytest.raises(ValueError):
             best_rate_over_mu_prime(GYS, 310.0, ())
 
+    def test_all_degenerate_grid_gives_first_intensity(self):
+        # Without dark counts the gain rounds to zero at 900 km, so every
+        # point is degenerate.
+        params = GYS.replace(dark_count=0.0, distance=900.0)
+        assert best_rate_over_mu_prime(params, 1000.0, (0.0, 10.0, 2000.0)) == (0.0, -math.inf)
+
 
 class TestKmin:
     def test_bisection_agrees_with_linear_scan(self):
@@ -85,6 +92,28 @@ class TestKmin:
         result = k_min(GYS, 250.0, tol=0.5)
         assert not result.converged
         assert math.isinf(result.k_min)
+
+    def test_all_degenerate_distance_flagged(self):
+        result = k_min(GYS.replace(dark_count=0.0), 900.0)
+        assert not result.converged
+        assert math.isinf(result.k_min)
+
+    def test_tolerance_below_float_spacing_terminates(self, monkeypatch):
+        reference = k_min(GYS, 50.0, tol=1e-12).k_min
+        probes = 0
+        two_stage_best = search._two_stage_best
+
+        def counted(*args):
+            nonlocal probes
+            probes += 1
+            if probes > 100:
+                raise RuntimeError("k_min bisection does not terminate")
+            return two_stage_best(*args)
+
+        monkeypatch.setattr(search, "_two_stage_best", counted)
+        result = k_min(GYS, 50.0, tol=1e-300)
+        assert result.converged
+        assert result.k_min == pytest.approx(reference, abs=1e-12)
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):

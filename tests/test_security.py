@@ -8,7 +8,7 @@ from decoy_fsa.decoy import evaluate
 from decoy_fsa.faked_states import FakedStateIntensities
 from decoy_fsa.model import GYS, dem_efficiencies, efficiency_matrix
 from decoy_fsa.observables import PNRD, QND
-from decoy_fsa.security import r_absolute, r_absolute_for, table1_probs
+from decoy_fsa.security import r_absolute_for, table1_probs
 
 # Frozen with 40-digit arithmetic at (mu' = 900, k = 1000, L = 100 km).
 R1_REF = 3.2169776047990203e-5
@@ -57,9 +57,8 @@ class TestTable1:
 
 class TestRAbsolute:
     def test_zero_when_nothing_arrives(self):
-        eff = efficiency_matrix(GYS.replace(distance=100.0), 1000.0)
-        probs = table1_probs(FakedStateIntensities.symmetric(0.0), eff)
-        assert r_absolute(GYS, FIG7_STRATEGY, probs) == 0.0
+        vacuum = PNRD(mu_prime=0.0, k=1000.0, eta_e=0.1)
+        assert r_absolute_for(GYS.replace(distance=100.0), vacuum) == 0.0
 
     def test_frozen_point(self):
         params = GYS.replace(distance=100.0)
