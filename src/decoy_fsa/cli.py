@@ -40,14 +40,16 @@ EXIT_VALIDATION = 3
 def _parse_values(text: str, name: str) -> tuple[float, ...]:
     """Parse 'start:stop:step' (inclusive of stop when it lands on-grid) or 'a,b,c'."""
     try:
-        if ":" in text:
-            start_s, stop_s, step_s = text.split(":")
-            start, stop, step = float(start_s), float(stop_s), float(step_s)
-            if step <= 0 or stop < start:
-                raise ValueError("need start <= stop and step > 0")
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
-            return tuple(start + i * step for i in range(count))
-        return tuple(float(part) for part in text.split(","))
+        parts = tuple(float(part) for part in text.split(":" if ":" in text else ","))
+        if not all(map(math.isfinite, parts)):
+            raise ValueError("values must be finite")
+        if ":" not in text:
+            return parts
+        start, stop, step = parts
+        if step <= 0 or stop < start:
+            raise ValueError("need start <= stop and step > 0")
+        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        return tuple(start + i * step for i in range(count))
     except ValueError as exc:
         raise ConfigError(f"invalid {name} specification {text!r}: {exc}") from exc
 
@@ -86,6 +88,20 @@ def _build_strategy(args: argparse.Namespace) -> AttackStrategy:
         return PNRD(mu_prime=args.mu_prime, k=args.k, eta_e=args.eta_e)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _check_k(params: SystemParams, strategy: AttackStrategy) -> None:
+    """Reject a --k the efficiency matrix cannot take at ``params.distance``.
+
+    The timing-matched efficiency k*eta_01 is largest at the shortest
+    distance, so a scan checks only that one.
+    """
+    if isinstance(strategy, Baseline):
+        return
+    try:
+        efficiency_matrix(params, strategy.k)
+    except ValueError as exc:
+        raise ConfigError(f"--k {strategy.k} at distance {params.distance} km: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,6 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_rate(args: argparse.Namespace) -> int:
     params = _load_params(args)
     strategy = _build_strategy(args)
+    _check_k(params, strategy)
     row = search.scan_row_for(params, strategy)
     for name, value in zip(search.SCAN_HEADER, row):
         print(f"{name} = {value}")
@@ -176,6 +193,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     else:
         strategies = (_build_strategy(args),)
         distances = _parse_values(args.distances, "--distances")
+        _check_k(params.replace(distance=min(distances)), strategies[0])
     rows = []
     for strategy in strategies:
         rows.extend(search.distance_scan(params, strategy, distances))
@@ -252,6 +270,7 @@ def _analytic_quantities(params: SystemParams, strategy: AttackStrategy) -> dict
 def _cmd_validate(args: argparse.Namespace) -> int:
     params = _load_params(args)
     strategy = _build_strategy(args)
+    _check_k(params, strategy)
     if args.n_pulses < 1:
         raise ConfigError(f"--n-pulses must be >= 1, got {args.n_pulses}")
     if args.seed < 0:

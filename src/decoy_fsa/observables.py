@@ -155,9 +155,6 @@ def observables_pnrd(params: SystemParams, strategy: QND | PNRD) -> Observables:
     return _attack_observables(arrive, error, attacked_mu, attacked_nu, d, params.e_detector)
 
 
-observables_qnd = observables_pnrd
-
-
 def observables_baseline(params: SystemParams) -> Observables:
     """Observables of the undisturbed linear channel.
 

@@ -21,19 +21,19 @@ from decoy_fsa.faked_states import (
     p_click_det1,
     p_error,
 )
-from decoy_fsa.model import GYS, efficiency_matrix, poisson_pmf
+from decoy_fsa.model import GYS, efficiency_matrix
 from decoy_fsa.observables import (
     Baseline,
     PNRD,
     QND,
     observables_for,
     observables_pnrd,
-    observables_qnd,
     p_single,
 )
 from decoy_fsa.oracle import simulate_pulses
 from decoy_fsa.search import k_min
 from decoy_fsa.security import table1_probs
+from reference import poisson_pmf
 
 QND_FIG3 = QND(mu_prime=300.0, k=310.0)
 PNRD_FIG6 = PNRD(mu_prime=900.0, k=1000.0, eta_e=0.1)
@@ -97,7 +97,7 @@ def test_criterion_2_gain_stealth_under_ideal_attack():
     deviations = {}
     for distance in range(40, 141, 10):
         params = GYS.replace(distance=float(distance))
-        q_attack = observables_qnd(params, QND_FIG3).q_mu
+        q_attack = observables_for(params, QND_FIG3).q_mu
         q_base = observables_for(params, Baseline()).q_mu
         deviations[distance] = abs(q_attack - q_base) / q_base
     elapsed = time.monotonic() - start
@@ -237,7 +237,7 @@ def test_criterion_7_property_suites():
         params = GYS.replace(distance=float(rng.uniform(5.0, 180.0)))
         k = float(rng.uniform(1.0, 1000.0))
         mu_prime = float(rng.uniform(0.0, 2000.0))
-        ideal = observables_qnd(params, QND(mu_prime=mu_prime, k=k))
+        ideal = observables_for(params, QND(mu_prime=mu_prime, k=k))
         gated = observables_pnrd(params, PNRD(mu_prime=mu_prime, k=k, eta_e=1.0))
         for field in ("q_mu", "q_nu", "emu_qmu", "enu_qnu", "e_mu"):
             a, b = getattr(ideal, field), getattr(gated, field)

@@ -1,9 +1,14 @@
-"""The benchmark's layer tracer wraps program names; each must still exist."""
+"""The benchmark's view of the program: the names its tracer wraps and the calls it makes."""
 
+import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+from decoy_fsa.model import GYS
+from decoy_fsa.observables import PNRD, QND
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def test_every_traced_binding_resolves():
@@ -16,3 +21,15 @@ def test_every_traced_binding_resolves():
         if not callable(getattr(owner, attr, None))
     ]
     assert not missing, f"bench/tracing.py binds names the program no longer has: {missing}"
+
+
+def test_oracle_workload_closed_forms_run(monkeypatch):
+    # bench/workloads.py imports its sibling modules by their bare names.
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    params = GYS.replace(distance=100.0)
+    for strategy in (QND(mu_prime=300.0, k=310.0), PNRD(mu_prime=900.0, k=1000.0, eta_e=0.1)):
+        values = workloads._closed_forms(params, strategy)
+        assert set(values) == {"q_mu", "q_nu", "emu_qmu", "p_click0", "p_click1",
+                               "p_arrive", "p_error", "r1", "s0"}
+        assert all(0.0 <= value <= 1.0 for value in values.values()), values

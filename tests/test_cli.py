@@ -1,11 +1,15 @@
 """Tests for the command-line interface: exit codes, recipes, determinism."""
 
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from decoy_fsa.cli import EXIT_CONFIG, EXIT_OK, build_parser, main
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def read_csv(path):
@@ -70,6 +74,21 @@ class TestRate:
         config.write_text('{"f_ec": NaN}')
         assert main(["rate", "--config", str(config)]) == EXIT_CONFIG
         assert "f_ec must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--distance", "0"],
+        ["validate", "--distance", "0"],
+        ["scan", "--distances", "50,0,100"],
+    ], ids=["rate", "validate", "scan"])
+    def test_k_above_physical_limit_names_flag_and_distance(self, tmp_path, capsys, argv):
+        # At 0 km the limit is 1/(eta_bob * 1e-4) = 222,222; a scan checks its shortest distance.
+        out = tmp_path / "out.csv"
+        code = main([*argv, "--strategy", "qnd", "--k", "1e6", "--mu-prime", "300",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--k" in err and "distance 0.0 km" in err and "exceeds 1" in err
+        assert not out.exists()
 
 
 class TestScanRecipes:
@@ -146,6 +165,8 @@ class TestSweepAndKmin:
         (["kmin", "--tol", "0"], "--tol"),
         (["kmin", "--tol", "inf"], "--tol"),
         (["validate", "--seed", "-1"], "--seed"),
+        (["scan", "--distances", "0:inf:1"], "--distances"),
+        (["scan", "--distances", "0:10:inf"], "--distances"),
     ])
     def test_bad_search_argument_names_the_flag(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "out.csv"
@@ -179,3 +200,21 @@ class TestValidate:
         assert code == EXIT_CONFIG
         assert "--n-pulses" in capsys.readouterr().err
         assert not (tmp_path / "val.csv").exists()
+
+
+class TestRecipeReferences:
+    def test_recipe_csvs_match_bench_references(self, tmp_path):
+        # The benchmark's own gate: floats within rtol 1e-6 / atol 1e-15, flags exact.
+        spec = importlib.util.spec_from_file_location("bench_checks", BENCH / "checks.py")
+        checks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checks)
+        recipes = {"fig2": "sweep", "fig3": "scan", "fig4": "kmin", "fig6": "scan", "fig7": "scan"}
+        problems = {}
+        for fig, command in recipes.items():
+            out = tmp_path / f"{fig}.csv"
+            assert main([command, "--recipe", fig, "--out", str(out)]) == EXIT_OK
+            found = checks.compare_csv(checks.read_csv(out),
+                                       checks.read_csv(BENCH / "ref" / f"{fig}.csv.gz"))
+            if found:
+                problems[fig] = found
+        assert not problems

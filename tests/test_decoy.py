@@ -21,7 +21,7 @@ from decoy_fsa.observables import (
     Observables,
     QND,
     observables_baseline,
-    observables_qnd,
+    observables_for,
 )
 
 # Frozen with 40-digit arithmetic.
@@ -89,7 +89,7 @@ class TestY1Lower:
 
     def test_attack_frozen_point(self):
         params = GYS.replace(distance=100.0)
-        obs = observables_qnd(params, QND(mu_prime=300.0, k=310.0))
+        obs = observables_for(params, QND(mu_prime=300.0, k=310.0))
         assert y1_lower(obs, params) == pytest.approx(QND_Y1, rel=1e-9)
 
     def test_attack_estimate_recovers_arrival_probability(self):
@@ -100,7 +100,7 @@ class TestY1Lower:
         from decoy_fsa.model import efficiency_matrix
 
         params = GYS.replace(distance=100.0)
-        obs = observables_qnd(params, QND(mu_prime=300.0, k=310.0))
+        obs = observables_for(params, QND(mu_prime=300.0, k=310.0))
         eff = efficiency_matrix(params, 310.0)
         arrive = p_arrive(FakedStateIntensities.symmetric(300.0), eff, params.dark_count)
         assert y1_lower(obs, params) == pytest.approx(arrive, rel=1e-4)
@@ -148,7 +148,7 @@ class TestE1Upper:
 
     def test_attack_frozen_point(self):
         params = GYS.replace(distance=100.0)
-        obs = observables_qnd(params, QND(mu_prime=300.0, k=310.0))
+        obs = observables_for(params, QND(mu_prime=300.0, k=310.0))
         y1 = y1_lower(obs, params)
         assert e1_upper(obs, y1, params) == pytest.approx(QND_E1, rel=1e-9)
 

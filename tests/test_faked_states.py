@@ -13,7 +13,7 @@ from decoy_fsa.faked_states import (
     p_click_det1,
     p_error,
 )
-from decoy_fsa.model import GYS, dem_efficiencies, efficiency_matrix
+from decoy_fsa.model import GYS, efficiency_matrix
 
 D_GYS = 1.7e-6
 
@@ -31,7 +31,7 @@ def point_310():
 
 
 def anyeff(k=5.0):
-    return dem_efficiencies(k, 0.5, 0.045)
+    return efficiency_matrix(GYS.replace(distance=0.0), k)
 
 
 class TestTrivialLimits:

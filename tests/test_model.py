@@ -13,10 +13,9 @@ from decoy_fsa.model import (
     ConfigError,
     SystemParams,
     channel_transmittance,
-    dem_efficiencies,
     efficiency_matrix,
-    poisson_pmf,
 )
+from reference import poisson_pmf
 
 # Frozen with 40-digit arithmetic.
 T_100KM = 7.9432823472428150e-3
@@ -60,37 +59,46 @@ class TestChannelTransmittance:
 
 class TestDemEfficiencies:
     def test_no_mismatch_all_equal(self):
-        eff = dem_efficiencies(1.0, 0.5, 0.045)
-        floor = 0.5 * 0.045 * 1e-4
+        eff = efficiency_matrix(GYS.replace(distance=0.0), 1.0)
+        floor = 0.045 * 1e-4
         assert eff.eta_00 == eff.eta_01 == eff.eta_10 == eff.eta_11 == floor
 
     def test_k310_at_100km(self):
-        eff = dem_efficiencies(310.0, T_100KM, 0.045)
+        eff = efficiency_matrix(GYS.replace(distance=100.0), 310.0)
         assert eff.eta_01 == pytest.approx(3.574477056259267e-8, rel=1e-9)
         assert eff.eta_00 == pytest.approx(1.1080878874403727e-5, rel=1e-9)
 
     def test_largest_physical_point(self):
-        eff = dem_efficiencies(1000.0, 1.0, 0.045)
+        eff = efficiency_matrix(GYS.replace(distance=0.0), 1000.0)
         assert eff.eta_00 == pytest.approx(4.5e-3, rel=1e-12)
 
     def test_ratio_exact_as_constructed(self):
-        eff = dem_efficiencies(123.456, 0.7, 0.045)
-        assert eff.eta_00 / eff.eta_10 == pytest.approx(eff.k, rel=1e-12)
-        assert eff.eta_11 / eff.eta_01 == pytest.approx(eff.k, rel=1e-12)
+        eff = efficiency_matrix(GYS.replace(distance=7.0), 123.456)
+        assert eff.eta_00 == eff.eta_11 and eff.eta_01 == eff.eta_10
+        assert eff.eta_00 / eff.eta_10 == pytest.approx(123.456, rel=1e-12)
 
     def test_k_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            dem_efficiencies(0.5, 0.5, 0.045)
+        for k in (0.5, math.nan):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                efficiency_matrix(GYS, k)
 
     def test_unphysical_efficiency_rejected(self):
         # k * eta_01 above unity cannot be a probability.
         with pytest.raises(ValueError, match="unphysical"):
-            dem_efficiencies(2.0e4, 1.0, 1.0)
+            efficiency_matrix(GYS.replace(distance=0.0, eta_bob=1.0), 2.0e4)
 
     def test_efficiency_matrix_uses_params_distance(self):
         params = GYS.replace(distance=100.0)
         eff = efficiency_matrix(params, 310.0)
         assert eff.eta_01 == pytest.approx(T_100KM * 0.045 * 1e-4, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1.5, 310.0])
+    def test_subnormal_blind_efficiency_rejected(self, k):
+        # Past about 14,395 km the floor t_AB*eta_bob*1e-4 is no normal float,
+        # and k*eta_01 would no longer carry the ratio k to full precision.
+        efficiency_matrix(GYS.replace(distance=14_390.0), k)
+        with pytest.raises(ValueError, match="smallest normal float"):
+            efficiency_matrix(GYS.replace(distance=14_600.0), k)
 
 
 class TestPoissonPmf:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decoy_fsa.model import GYS, poisson_pmf
+from decoy_fsa.model import GYS
 from decoy_fsa.observables import (
     Baseline,
     DegenerateObservablesError,
@@ -16,9 +16,9 @@ from decoy_fsa.observables import (
     observables_baseline,
     observables_for,
     observables_pnrd,
-    observables_qnd,
     p_single,
 )
+from reference import poisson_pmf
 
 # Frozen with 40-digit arithmetic.
 QND_310_300_100 = {
@@ -83,7 +83,7 @@ class TestQndObservables:
     def test_degenerate_when_no_light_and_no_darks(self):
         params = GYS.replace(dark_count=0.0)
         with pytest.raises(DegenerateObservablesError):
-            observables_qnd(params, QND(mu_prime=0.0, k=310.0))
+            observables_for(params, QND(mu_prime=0.0, k=310.0))
 
     def test_perfect_resend_limit(self):
         # Forcing unit arrival and zero error leaves the bare single-photon gain.
@@ -94,21 +94,21 @@ class TestQndObservables:
         assert obs.e_mu == 0.0
 
     def test_frozen_point(self):
-        obs = observables_qnd(GYS.replace(distance=100.0), QND(mu_prime=300.0, k=310.0))
+        obs = observables_for(GYS.replace(distance=100.0), QND(mu_prime=300.0, k=310.0))
         for name, expected in QND_310_300_100.items():
             assert getattr(obs, name) == pytest.approx(expected, rel=1e-9), name
 
     def test_gain_nondecreasing_in_mu_prime(self):
         params = GYS.replace(distance=100.0)
         gains = [
-            observables_qnd(params, QND(mu_prime=mp, k=310.0)).q_mu
+            observables_for(params, QND(mu_prime=mp, k=310.0)).q_mu
             for mp in (0.0, 10.0, 100.0, 300.0, 1000.0, 2000.0)
         ]
         assert all(b >= a - 1e-15 for a, b in zip(gains, gains[1:]))
 
     def test_dark_dominated_qber_approaches_half(self):
         params = GYS.replace(distance=100.0)
-        obs = observables_qnd(params, QND(mu_prime=1e-6, k=310.0))
+        obs = observables_for(params, QND(mu_prime=1e-6, k=310.0))
         assert obs.e_mu == pytest.approx(0.5, abs=1e-3)
 
 
@@ -117,7 +117,7 @@ class TestPnrdObservables:
         for distance in (10.0, 60.0, 100.0, 150.0):
             for k, mp in ((1.0, 50.0), (310.0, 300.0), (1000.0, 900.0)):
                 params = GYS.replace(distance=distance)
-                ideal = observables_qnd(params, QND(mu_prime=mp, k=k))
+                ideal = observables_for(params, QND(mu_prime=mp, k=k))
                 gated = observables_pnrd(params, PNRD(mu_prime=mp, k=k, eta_e=1.0))
                 for field in ("q_mu", "q_nu", "emu_qmu", "enu_qnu", "e_mu"):
                     assert getattr(gated, field) == pytest.approx(
@@ -193,7 +193,7 @@ class TestDispatch:
         params = GYS.replace(distance=80.0)
         assert observables_for(params, Baseline()) == observables_baseline(params)
         qnd = QND(mu_prime=300.0, k=310.0)
-        assert observables_for(params, qnd) == observables_qnd(params, qnd)
+        assert observables_for(params, qnd) == observables_pnrd(params, qnd)
         pnrd = PNRD(mu_prime=900.0, k=1000.0, eta_e=0.1)
         assert observables_for(params, pnrd) == observables_pnrd(params, pnrd)
 
@@ -213,5 +213,5 @@ class TestDispatch:
     @settings(max_examples=150, deadline=None)
     def test_attack_qber_stays_physical(self, k, mu_prime, distance):
         params = GYS.replace(distance=distance)
-        obs = observables_qnd(params, QND(mu_prime=mu_prime, k=k))
+        obs = observables_for(params, QND(mu_prime=mu_prime, k=k))
         assert 0.0 <= obs.e_mu <= 1.0

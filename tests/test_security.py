@@ -6,7 +6,7 @@ import pytest
 
 from decoy_fsa.decoy import evaluate
 from decoy_fsa.faked_states import FakedStateIntensities
-from decoy_fsa.model import GYS, dem_efficiencies, efficiency_matrix
+from decoy_fsa.model import GYS, efficiency_matrix
 from decoy_fsa.observables import PNRD, QND
 from decoy_fsa.security import r_absolute_for, table1_probs
 
@@ -19,34 +19,15 @@ FIG7_STRATEGY = PNRD(mu_prime=900.0, k=1000.0, eta_e=0.1)
 
 class TestTable1:
     def test_vacuum_resends(self):
-        eff = dem_efficiencies(5.0, 0.5, 0.045)
+        eff = efficiency_matrix(GYS.replace(distance=0.0), 5.0)
         probs = table1_probs(FakedStateIntensities.symmetric(0.0), eff)
         assert probs.r1 == 0.0 and probs.s0 == 0.0
-        assert probs.loss_r == 1.0 and probs.loss_s == 1.0
 
     def test_bright_limit(self):
-        eff = dem_efficiencies(5.0, 0.5, 0.045)
+        eff = efficiency_matrix(GYS.replace(distance=0.0), 5.0)
         probs = table1_probs(FakedStateIntensities.symmetric(1e12), eff)
         assert probs.r1 == pytest.approx(1.0, abs=1e-12)
-        assert probs.loss_r == pytest.approx(0.0, abs=1e-12)
-
-    def test_zero_entries_exact(self):
-        eff = dem_efficiencies(310.0, 0.5, 0.045)
-        probs = table1_probs(FakedStateIntensities.symmetric(300.0), eff)
-        assert probs.r0 == 0.0
-        assert probs.s1 == 0.0
-        assert probs.double_r == 0.0
-        assert probs.double_s == 0.0
-
-    def test_loss_bookkeeping(self):
-        eff = dem_efficiencies(310.0, 0.5, 0.045)
-        probs = table1_probs(FakedStateIntensities.symmetric(300.0), eff)
-        assert probs.loss_r == pytest.approx(
-            1.0 - (probs.r0 + probs.r1 - probs.r0 * probs.r1), rel=1e-12
-        )
-        assert probs.loss_s == pytest.approx(
-            1.0 - (probs.s0 + probs.s1 - probs.s0 * probs.s1), rel=1e-12
-        )
+        assert probs.s0 == pytest.approx(1.0, abs=1e-12)
 
     def test_frozen_point(self):
         eff = efficiency_matrix(GYS.replace(distance=100.0), 1000.0)
@@ -77,12 +58,11 @@ class TestRAbsolute:
         ]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-    def test_qnd_variant_behind_flag(self):
+    def test_qnd_is_pnrd_at_unit_efficiency(self):
         params = GYS.replace(distance=100.0)
         qnd = QND(mu_prime=900.0, k=1000.0)
-        with pytest.raises(TypeError):
-            r_absolute_for(params, qnd)
-        value = r_absolute_for(params, qnd, allow_qnd=True)
+        value = r_absolute_for(params, qnd)
+        assert value == r_absolute_for(params, PNRD(mu_prime=900.0, k=1000.0, eta_e=1.0))
         scale = (params.mu * math.exp(-params.mu)) / (
             params.mu * 0.1 * math.exp(-params.mu * 0.1)
         )
