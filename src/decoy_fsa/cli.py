@@ -104,6 +104,25 @@ def _check_k(params: SystemParams, strategy: AttackStrategy) -> None:
         raise ConfigError(f"--k {strategy.k} at distance {params.distance} km: {exc}") from exc
 
 
+# Flags a --recipe sets itself, with their values when no recipe is given.
+_RECIPE_FLAGS = {
+    "scan": {"strategy": "baseline", "k": None, "mu_prime": None, "eta_e": None,
+             "distances": "0:200:2"},
+    "sweep": {"distance": 100.0, "k_values": "10:1000:10", "mu_prime_values": "0:2000:20",
+              "eta_e": None},
+    "kmin": {"distances": "1:140:10"},
+}
+
+
+def _resolve_recipe_flags(args: argparse.Namespace) -> None:
+    """Reject a flag the recipe would override; otherwise fill in the flag defaults."""
+    defaults = _RECIPE_FLAGS.get(args.command, {})
+    given = ["--" + name.replace("_", "-") for name in defaults if getattr(args, name) is not None]
+    if given and args.recipe is not None:
+        raise ConfigError(f"--recipe {args.recipe} sets {', '.join(given)} itself")
+    vars(args).update({name: v for name, v in defaults.items() if getattr(args, name) is None})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="decoy-fsa",
@@ -133,23 +152,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="key-rate scan over distance")
     add_common(p_scan)
-    p_scan.add_argument("--distances", default="0:200:2",
-                        help="'start:stop:step' or comma list, km")
+    p_scan.add_argument("--distances", help="'start:stop:step' or comma list, km")
     p_scan.add_argument("--recipe", choices=("fig3", "fig6", "fig7"), default=None,
                         help="named two-curve/one-curve reproduction recipe")
 
     p_sweep = sub.add_parser("sweep", help="(k, mu') feasibility surface at one distance")
     add_common(p_sweep, with_strategy=False)
-    p_sweep.add_argument("--distance", type=float, default=100.0)
-    p_sweep.add_argument("--k-values", default="10:1000:10")
-    p_sweep.add_argument("--mu-prime-values", default="0:2000:20")
-    p_sweep.add_argument("--eta-e", type=float, default=None,
+    p_sweep.add_argument("--distance", type=float)
+    p_sweep.add_argument("--k-values")
+    p_sweep.add_argument("--mu-prime-values")
+    p_sweep.add_argument("--eta-e", type=float,
                          help="use the PNRD strategy with this efficiency")
     p_sweep.add_argument("--recipe", choices=("fig2",), default=None)
 
     p_kmin = sub.add_parser("kmin", help="minimum attackable mismatch ratio per distance")
     add_common(p_kmin, with_strategy=False)
-    p_kmin.add_argument("--distances", default="1:140:10")
+    p_kmin.add_argument("--distances")
     p_kmin.add_argument("--tol", type=float, default=0.5)
     p_kmin.add_argument("--eta-e", type=float, default=None)
     p_kmin.add_argument("--recipe", choices=("fig4",), default=None)
@@ -163,6 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--manifest", default=None,
                        help="also write the run manifest (JSON) to this path")
 
+    for name, flags in _RECIPE_FLAGS.items():
+        sub.choices[name].set_defaults(**dict.fromkeys(flags))
     return parser
 
 
@@ -204,21 +224,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    params = _load_params(args)
-    if args.recipe == "fig2":
-        params = params.replace(distance=100.0)
-        grid = search.SweepGrid(
-            k_values=_parse_values("10:1000:10", "--k-values"),
-            mu_prime_values=_parse_values("0:2000:20", "--mu-prime-values"),
-        )
-        eta_e = None
-    else:
-        grid = search.SweepGrid(
-            k_values=_grid_values(args.k_values, "--k-values", 1.0, search.K_MAX),
-            mu_prime_values=_grid_values(args.mu_prime_values, "--mu-prime-values", 0.0, math.inf),
-        )
-        eta_e = _search_eta_e(args)
-    rows = search.sweep_grid(params, grid, eta_e)
+    # The fig2 recipe is the default grid: (k, mu') at 100 km, QND.
+    grid = search.SweepGrid(
+        k_values=_grid_values(args.k_values, "--k-values", 1.0, search.K_MAX),
+        mu_prime_values=_grid_values(args.mu_prime_values, "--mu-prime-values", 0.0, math.inf),
+    )
+    rows = search.sweep_grid(_load_params(args), grid, _search_eta_e(args))
     out = args.out or f"sweep_{args.recipe or 'grid'}.csv"
     search.write_csv(out, search.SWEEP_HEADER, rows)
     print(f"wrote {len(rows)} rows to {out}")
@@ -309,6 +320,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _resolve_recipe_flags(args)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

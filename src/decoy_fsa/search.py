@@ -75,6 +75,11 @@ class KminResult:
     mu_prime_at_kmin: float
     converged: bool
 
+    @property
+    def on_grid_edge(self) -> bool:
+        """The best intensity sits on the search boundary, so it may be the cap's."""
+        return self.mu_prime_at_kmin in (0.0, COARSE_MU_MAX)
+
 
 class SweepRow(NamedTuple):
     k: float
@@ -132,12 +137,23 @@ def best_rate_over_mu_prime(
     return best_mu, best_rate
 
 
-def _two_stage_best(
-    params: SystemParams, k: float, eta_e: float | None = None
+def _probe(
+    params: SystemParams, k: float, eta_e: float | None, argmax: bool
 ) -> tuple[float, float]:
-    """Coarse grid pass over [0, 2000] step 10, then a unit-step local refinement."""
+    """Coarse grid pass over [0, 2000] step 10, then a unit-step local refinement.
+
+    Without ``argmax`` only the sign of rate* counts: the coarse pass runs top
+    down and stops at the first positive rate, since the fine grid holds the
+    coarse argmax.
+    """
     coarse = [i * COARSE_MU_STEP for i in range(int(COARSE_MU_MAX / COARSE_MU_STEP) + 1)]
-    mu_star, _ = best_rate_over_mu_prime(params, k, coarse, eta_e)
+    rates = []
+    for mu_prime in reversed(coarse):
+        rates.append(_rate_at(params, k, mu_prime, eta_e))
+        if rates[-1] > 0.0 and not argmax:
+            return mu_prime, rates[-1]
+    # best_rate_over_mu_prime's rule: ascending, strict >, from (coarse[0], -inf)
+    _, mu_star = max([(-math.inf, coarse[0]), *zip(reversed(rates), coarse)], key=lambda t: t[0])
     lo = max(0.0, mu_star - COARSE_MU_STEP)
     hi = min(COARSE_MU_MAX, mu_star + COARSE_MU_STEP)
     fine = [lo + i * FINE_MU_STEP for i in range(int(round((hi - lo) / FINE_MU_STEP)) + 1)]
@@ -153,29 +169,25 @@ def k_min(
 ) -> KminResult:
     """Bisection for the smallest k in [1, 1000] with an attainable positive rate.
 
-    Non-convergence (no positive rate even at k = 1000) is a flagged result,
-    not an error.
+    Probes stop at the first positive coarse rate; the best intensity is
+    searched only where reported, at k = 1 and at the final k.  Non-convergence
+    (no positive rate even at k = 1000) is a flagged result, not an error.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     p = params.replace(distance=distance)
-    mu_hi, rate_hi = _two_stage_best(p, K_MAX, eta_e)
-    if rate_hi <= 0.0:
-        return KminResult(distance=distance, k_min=math.inf, mu_prime_at_kmin=math.nan, converged=False)
-    mu_lo, rate_lo = _two_stage_best(p, 1.0, eta_e)
+    if _probe(p, K_MAX, eta_e, False)[1] <= 0.0:
+        return KminResult(distance, math.inf, math.nan, converged=False)
+    mu_lo, rate_lo = _probe(p, 1.0, eta_e, True)
     if rate_lo > 0.0:
-        return KminResult(distance=distance, k_min=1.0, mu_prime_at_kmin=mu_lo, converged=True)
-    lo, hi, mu_at_hi = 1.0, K_MAX, mu_hi
+        return KminResult(distance, 1.0, mu_lo, converged=True)
+    lo, hi = 1.0, K_MAX
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # tol below the float spacing of k
             break
-        mu_mid, rate_mid = _two_stage_best(p, mid, eta_e)
-        if rate_mid > 0.0:
-            hi, mu_at_hi = mid, mu_mid
-        else:
-            lo = mid
-    return KminResult(distance=distance, k_min=hi, mu_prime_at_kmin=mu_at_hi, converged=True)
+        lo, hi = (lo, mid) if _probe(p, mid, eta_e, False)[1] > 0.0 else (mid, hi)
+    return KminResult(distance, hi, _probe(p, hi, eta_e, True)[0], converged=True)
 
 
 def sweep_grid(

@@ -167,6 +167,17 @@ class TestSweepAndKmin:
         (["validate", "--seed", "-1"], "--seed"),
         (["scan", "--distances", "0:inf:1"], "--distances"),
         (["scan", "--distances", "0:10:inf"], "--distances"),
+        # a recipe fixes these itself
+        (["scan", "--recipe", "fig7", "--strategy", "baseline"], "--strategy"),
+        (["scan", "--recipe", "fig3", "--k", "10"], "--k"),
+        (["scan", "--recipe", "fig6", "--mu-prime", "10"], "--mu-prime"),
+        (["scan", "--recipe", "fig7", "--eta-e", "0.5"], "--eta-e"),
+        (["scan", "--recipe", "fig7", "--distances", "0:4:2"], "--distances"),
+        (["sweep", "--recipe", "fig2", "--distance", "50"], "--distance"),
+        (["sweep", "--recipe", "fig2", "--k-values", "10"], "--k-values"),
+        (["sweep", "--recipe", "fig2", "--mu-prime-values", "0,20"], "--mu-prime-values"),
+        (["sweep", "--recipe", "fig2", "--eta-e", "0.1"], "--eta-e"),
+        (["kmin", "--recipe", "fig4", "--distances", "5"], "--distances"),
     ])
     def test_bad_search_argument_names_the_flag(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "out.csv"

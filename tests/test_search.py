@@ -18,6 +18,7 @@ from decoy_fsa.search import (
 )
 
 COARSE_GRID = tuple(float(x) for x in range(0, 2001, 10))
+FIG4_DISTANCES = (1.0,) + tuple(float(x) for x in range(10, 141, 10))
 
 
 class TestBestRateOverMuPrime:
@@ -101,16 +102,16 @@ class TestKmin:
     def test_tolerance_below_float_spacing_terminates(self, monkeypatch):
         reference = k_min(GYS, 50.0, tol=1e-12).k_min
         probes = 0
-        two_stage_best = search._two_stage_best
+        probe = search._probe
 
         def counted(*args):
             nonlocal probes
             probes += 1
             if probes > 100:
                 raise RuntimeError("k_min bisection does not terminate")
-            return two_stage_best(*args)
+            return probe(*args)
 
-        monkeypatch.setattr(search, "_two_stage_best", counted)
+        monkeypatch.setattr(search, "_probe", counted)
         result = k_min(GYS, 50.0, tol=1e-300)
         assert result.converged
         assert result.k_min == pytest.approx(reference, abs=1e-12)
@@ -125,6 +126,79 @@ class TestKmin:
         # k_min = 1000 as converged.
         with pytest.raises(ValueError, match="tol must be finite"):
             k_min(GYS, 50.0, tol=tol)
+
+
+class TestKminEarlyStop:
+    @staticmethod
+    def reference_k_min(params, distance, tol=0.5, eta_e=None):
+        """The full two-stage search at every probe, as before probes stopped early."""
+
+        def two_stage_best(p, k):
+            coarse = [i * search.COARSE_MU_STEP
+                      for i in range(int(search.COARSE_MU_MAX / search.COARSE_MU_STEP) + 1)]
+            mu_star, _ = best_rate_over_mu_prime(p, k, coarse, eta_e)
+            lo = max(0.0, mu_star - search.COARSE_MU_STEP)
+            hi = min(search.COARSE_MU_MAX, mu_star + search.COARSE_MU_STEP)
+            fine = [lo + i * search.FINE_MU_STEP
+                    for i in range(int(round((hi - lo) / search.FINE_MU_STEP)) + 1)]
+            return best_rate_over_mu_prime(p, k, fine, eta_e)
+
+        p = params.replace(distance=distance)
+        mu_hi, rate_hi = two_stage_best(p, search.K_MAX)
+        if rate_hi <= 0.0:
+            return math.inf, math.nan, False
+        mu_lo, rate_lo = two_stage_best(p, 1.0)
+        if rate_lo > 0.0:
+            return 1.0, mu_lo, True
+        lo, hi, mu_at_hi = 1.0, search.K_MAX, mu_hi
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            mu_mid, rate_mid = two_stage_best(p, mid)
+            if rate_mid > 0.0:
+                hi, mu_at_hi = mid, mu_mid
+            else:
+                lo = mid
+        return hi, mu_at_hi, True
+
+    @pytest.mark.parametrize("params, distance, tol, eta_e", [
+        (GYS, 1.0, 0.5, None),
+        (GYS, 50.0, 0.5, None),
+        (GYS, 140.0, 0.5, None),
+        (GYS, 250.0, 0.5, None),
+        (GYS, 50.0, 0.5, 0.1),
+        (GYS.replace(e_detector=0.033), 100.0, 0.5, None),
+        (GYS.replace(dark_count=0.0), 900.0, 0.5, None),
+        (GYS, 50.0, 1e-12, None),
+        # near k_min the coarse grid misses the positive rates that the fine grid finds
+        (GYS, 1.0, 1e-12, None),
+    ])
+    def test_matches_full_search_bit_for_bit(self, params, distance, tol, eta_e):
+        result = k_min(params, distance, tol=tol, eta_e=eta_e)
+        expected = self.reference_k_min(params, distance, tol, eta_e)
+        # repr compares floats bit for bit and treats nan == nan
+        assert repr((result.k_min, result.mu_prime_at_kmin, result.converged)) == repr(expected)
+
+    def test_fig4_evaluation_budget(self, monkeypatch):
+        # The full search at every probe took 41,370 evaluations here.
+        calls = 0
+        evaluate = search.evaluate
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(search, "evaluate", counted)
+        for distance in FIG4_DISTANCES:
+            k_min(GYS, distance)
+        assert calls <= 15_428
+
+    def test_grid_edge_flag(self):
+        edge = {d: k_min(GYS, d).on_grid_edge for d in FIG4_DISTANCES}
+        assert edge == {d: d >= 20.0 for d in FIG4_DISTANCES}
+        assert not k_min(GYS, 250.0).on_grid_edge
 
 
 class TestSweepGrid:
