@@ -10,6 +10,7 @@ failure (analytic vs Monte Carlo disagreement beyond 3 sigma).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -74,34 +75,38 @@ def _load_params(args: argparse.Namespace) -> SystemParams:
     return params
 
 
-def _build_strategy(args: argparse.Namespace) -> AttackStrategy:
-    kind = args.strategy
-    if kind == "baseline":
-        return Baseline()
-    if args.k is None or args.mu_prime is None:
-        raise ConfigError(f"strategy {kind!r} requires --k and --mu-prime")
-    try:
-        if kind == "qnd":
-            return QND(mu_prime=args.mu_prime, k=args.k)
-        if args.eta_e is None:
-            raise ConfigError("strategy 'pnrd' requires --eta-e")
-        return PNRD(mu_prime=args.mu_prime, k=args.k, eta_e=args.eta_e)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _flags(names) -> str:
+    return ", ".join("--" + name.replace("_", "-") for name in names)
 
 
-def _check_k(params: SystemParams, strategy: AttackStrategy) -> None:
-    """Reject a --k the efficiency matrix cannot take at ``params.distance``.
+# The strategy flags each strategy reads (pnrd reads all); it takes no other.
+_STRATEGY_FLAGS = {"baseline": (), "qnd": ("k", "mu_prime"), "pnrd": ("k", "mu_prime", "eta_e")}
+
+
+def _build_strategy(args: argparse.Namespace, params: SystemParams) -> AttackStrategy:
+    """The strategy the flags name, its --k checked at ``params.distance``.
 
     The timing-matched efficiency k*eta_01 is largest at the shortest
     distance, so a scan checks only that one.
     """
-    if isinstance(strategy, Baseline):
-        return
+    kind, reads = args.strategy, _STRATEGY_FLAGS[args.strategy]
+    given = [name for name in _STRATEGY_FLAGS["pnrd"] if getattr(args, name) is not None]
+    if unused := [name for name in given if name not in reads]:
+        raise ConfigError(f"strategy {kind!r} does not take {_flags(unused)}")
+    if missing := [name for name in reads if name not in given]:
+        raise ConfigError(f"strategy {kind!r} requires {_flags(missing)}")
+    if kind == "baseline":
+        return Baseline()
+    try:
+        strategy = (QND(mu_prime=args.mu_prime, k=args.k) if kind == "qnd"
+                    else PNRD(mu_prime=args.mu_prime, k=args.k, eta_e=args.eta_e))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     try:
         efficiency_matrix(params, strategy.k)
     except ValueError as exc:
         raise ConfigError(f"--k {strategy.k} at distance {params.distance} km: {exc}") from exc
+    return strategy
 
 
 # Flags a --recipe sets itself, with their values when no recipe is given.
@@ -117,13 +122,15 @@ _RECIPE_FLAGS = {
 def _resolve_recipe_flags(args: argparse.Namespace) -> None:
     """Reject a flag the recipe would override; otherwise fill in the flag defaults."""
     defaults = _RECIPE_FLAGS.get(args.command, {})
-    given = ["--" + name.replace("_", "-") for name in defaults if getattr(args, name) is not None]
+    given = [name for name in defaults if getattr(args, name) is not None]
     if given and args.recipe is not None:
-        raise ConfigError(f"--recipe {args.recipe} sets {', '.join(given)} itself")
+        raise ConfigError(f"--recipe {args.recipe} sets {_flags(given)} itself")
     vars(args).update({name: v for name, v in defaults.items() if getattr(args, name) is None})
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="decoy-fsa",
         description=(
@@ -188,8 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_rate(args: argparse.Namespace) -> int:
     params = _load_params(args)
-    strategy = _build_strategy(args)
-    _check_k(params, strategy)
+    strategy = _build_strategy(args, params)
     row = search.scan_row_for(params, strategy)
     for name, value in zip(search.SCAN_HEADER, row):
         print(f"{name} = {value}")
@@ -211,9 +217,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         strategies, distances_spec = _SCAN_RECIPES[args.recipe]
         distances = _parse_values(distances_spec, "--distances")
     else:
-        strategies = (_build_strategy(args),)
         distances = _parse_values(args.distances, "--distances")
-        _check_k(params.replace(distance=min(distances)), strategies[0])
+        strategies = (_build_strategy(args, params.replace(distance=min(distances))),)
     rows = []
     for strategy in strategies:
         rows.extend(search.distance_scan(params, strategy, distances))
@@ -266,22 +271,19 @@ def _analytic_quantities(params: SystemParams, strategy: AttackStrategy) -> dict
     eff = efficiency_matrix(params, strategy.k)
     fs = faked_states.FakedStateIntensities.symmetric(strategy.mu_prime)
     d = params.dark_count
-    probs = security.table1_probs(fs, eff)
     quantities.update({
         "p_click0": faked_states.p_click_det0(fs, eff, d),
         "p_click1": faked_states.p_click_det1(fs, eff, d),
         "p_arrive": faked_states.p_arrive(fs, eff, d),
         "p_error": faked_states.p_error(fs, eff, d),
-        "r1": probs.r1,
-        "s0": probs.s0,
     })
+    quantities.update(vars(security.table1_probs(fs, eff)))  # r1, s0
     return quantities
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     params = _load_params(args)
-    strategy = _build_strategy(args)
-    _check_k(params, strategy)
+    strategy = _build_strategy(args, params)
     if args.n_pulses < 1:
         raise ConfigError(f"--n-pulses must be >= 1, got {args.n_pulses}")
     if args.seed < 0:
@@ -317,8 +319,7 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _resolve_recipe_flags(args)
         return _COMMANDS[args.command](args)

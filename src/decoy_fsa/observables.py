@@ -156,10 +156,12 @@ def observables_pnrd(params: SystemParams, strategy: QND | PNRD) -> Observables:
 
 
 def observables_baseline(params: SystemParams) -> Observables:
-    """Observables of the undisturbed linear channel.
+    """Observables of the undisturbed linear channel (Ma, Qi, Zhao & Lo, PRA 72, 012326).
 
     Q_x = d + 1 - exp(-eta*x) and E_x*Q_x = d/2 + e_detector*(1 - exp(-eta*x))
-    with eta the end-to-end transmittance t_AB*eta_bob; the mismatch geometry
+    with eta the end-to-end transmittance t_AB*eta_bob.  This is the standard
+    additive form, which omits the light-and-dark coincidence d*(1 - exp(-eta*x))
+    (half of it in E_x*Q_x), negligible at GYS's d = 1.7e-6.  The mismatch geometry
     plays no role because the users calibrate at the nominal timing.
     """
     eta = channel_transmittance(params.alpha, params.distance) * params.eta_bob

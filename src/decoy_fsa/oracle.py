@@ -19,6 +19,9 @@ mechanistically, in as much detail as the tallies read:
 * Bob's intrinsic detector error flips the bit of each resent click with
   probability e_detector, drawn as one binomial count over the wrong and one
   over the right bits; the users' error tallies carry the flipped bits.
+* Baseline: each non-vacuum pulse is thinned by a binomial draw at t_AB*eta_bob;
+  the unlit pulses, the errors of light (e_detector) and dark (1/2) clicks and
+  detector 1's share of clicks (1/2) are then each one binomial count.
 
 Runs are deterministic: work is cut into fixed-size shards whose RNG streams
 are spawned from the master seed by shard index, and tallies merge in shard
@@ -92,7 +95,7 @@ class EmpiricalObservables:
         if name in counts:
             return _ratio(*counts[name])
         if name.endswith("_se") and name[:-3] in counts:
-            return _binom_se(*counts[name[:-3]])
+            return _binom_se(getattr(self, name[:-3]), counts[name[:-3]][1])
         raise AttributeError(name)
 
     def manifest_json(self) -> str:
@@ -114,11 +117,8 @@ class EmpiricalObservables:
         return json.dumps(manifest, indent=2, sort_keys=True)
 
 
-def _binom_se(successes: int, trials: int) -> float:
-    if trials == 0:
-        return math.nan
-    p = successes / trials
-    return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+def _binom_se(p: float, trials: int) -> float:
+    return math.sqrt(max(p * (1.0 - p), 0.0) / trials) if trials else math.nan
 
 
 def _ratio(successes: int, trials: int) -> float:
@@ -161,7 +161,7 @@ def binomial_verdict(successes: int, trials: int, p: float) -> tuple[float, floa
     than 3 sigma allows.  With no trials, or a rate of exactly 0 or 1, the
     estimate must equal ``p``.
     """
-    sigma = math.sqrt(max(p * (1.0 - p), 0.0) / trials) if trials else math.nan
+    sigma = _binom_se(p, trials)
     measured = _ratio(successes, trials)
     if not sigma or math.isnan(sigma):
         same = measured == p
@@ -296,23 +296,22 @@ def _simulate_baseline_shard(
 ) -> None:
     intensity = params.mu if stream == "signal" else params.nu
     eta = channel_transmittance(params.alpha, params.distance) * params.eta_bob
-    d = params.dark_count
 
     photons = rng.poisson(intensity, size=m)
-    light = rng.binomial(photons, eta) > 0
-    dark = rng.random(m) < d
-    clicked = light | dark
-    flip = rng.random(m) < params.e_detector
-    coin = rng.random(m) < 0.5
-    errors = clicked & np.where(light, flip, coin)
-    det1 = rng.integers(0, 2, size=m) == 1  # unbiased bit stream on a calibrated link
+    # Binomial(0, p) consumes no random numbers: only non-vacuum pulses are thinned.
+    n_light = int(np.count_nonzero(rng.binomial(photons[photons > 0], eta)))
+    n_dark = int(rng.binomial(m - n_light, params.dark_count))
+    n_clicked = n_light + n_dark
+    # A light click errs with probability e_detector; a dark click's bit is a coin.
+    n_errors = int(rng.binomial(n_light, params.e_detector)) + int(rng.binomial(n_dark, 0.5))
+    n_det1 = int(rng.binomial(n_clicked, 0.5))  # unbiased bit stream on a calibrated link
 
     tally = counts.per_stream[stream]
-    tally["click0"] += int((clicked & ~det1).sum())
-    tally["click1"] += int((clicked & det1).sum())
-    tally["loss"] += int((~clicked).sum())
-    tally["sifted"] += int(clicked.sum())
-    tally["sifted_error"] += int(errors.sum())
+    tally["click0"] += n_clicked - n_det1
+    tally["click1"] += n_det1
+    tally["loss"] += m - n_clicked
+    tally["sifted"] += n_clicked
+    tally["sifted_error"] += n_errors
 
 
 def simulate_pulses(
@@ -344,9 +343,7 @@ def simulate_pulses(
         m = min(shard_size, n_pulses - index * shard_size)
         for stream in _STREAMS:
             if attack:
-                _simulate_attack_shard(
-                    rng, params, strategy, stream, m, counts, light, click
-                )
+                _simulate_attack_shard(rng, params, strategy, stream, m, counts, light, click)
             else:
                 _simulate_baseline_shard(rng, params, stream, m, counts)
 

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from decoy_fsa import cli
 from decoy_fsa.model import GYS
 from decoy_fsa.observables import PNRD, QND
 
@@ -33,3 +34,18 @@ def test_oracle_workload_closed_forms_run(monkeypatch):
         assert set(values) == {"q_mu", "q_nu", "emu_qmu", "p_click0", "p_click1",
                                "p_arrive", "p_error", "r1", "s0"}
         assert all(0.0 <= value <= 1.0 for value in values.values()), values
+
+
+def test_validate_workload_queries_pass_the_gate(monkeypatch, tmp_path, capsys):
+    # The first two queries of each kind the validate_short workload sends.
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    checks = importlib.import_module("checks")
+    queries = workloads.validate_queries(1)[:6]
+    assert sorted(kind for kind, _ in queries) == ["baseline", "baseline", "pnrd", "pnrd",
+                                                   "qnd", "qnd"]
+    for index, (kind, argv) in enumerate(queries):
+        out = tmp_path / f"{index}.csv"
+        code = cli.main([*argv, "--out", str(out)])
+        rows = checks.read_csv(out) if out.exists() else None
+        assert checks.validate_problems(code, rows, kind) == [], (argv, capsys.readouterr().err)

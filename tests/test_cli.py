@@ -30,6 +30,28 @@ class TestParser:
             args = parser.parse_args(argv)
             assert args.command == argv[0]
 
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("first, first_code, second", [
+        (["scan", "--recipe", "fig3", "--strategy", "qnd"], EXIT_CONFIG,
+         ["scan", "--distances", "10,50,90"]),
+        (["scan", "--strategy", "qnd", "--k", "310", "--mu-prime", "300", "--distances", "10,50"],
+         EXIT_OK, ["scan", "--recipe", "fig7"]),
+        (["validate", "--strategy", "pnrd", "--k", "1000", "--mu-prime", "900", "--eta-e", "0.5",
+          "--distance", "50", "--n-pulses", "20000", "--seed", "3"], EXIT_OK,
+         ["validate", "--strategy", "qnd", "--k", "310", "--mu-prime", "300",
+          "--distance", "100", "--n-pulses", "20000", "--seed", "4"]),
+    ], ids=["rejected-recipe-then-scan", "scan-then-recipe", "pnrd-then-qnd"])
+    def test_back_to_back_calls_share_no_state(self, tmp_path, capsys, first, first_code, second):
+        # The shared parser hands each call a fresh namespace: a call after
+        # another writes the same CSV as the same call on a new parser.
+        assert main([*first, "--out", str(tmp_path / "first.csv")]) == first_code
+        assert main([*second, "--out", str(tmp_path / "after.csv")]) == EXIT_OK
+        build_parser.cache_clear()
+        assert main([*second, "--out", str(tmp_path / "alone.csv")]) == EXIT_OK
+        assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
 
 class TestRate:
     def test_baseline_positive_at_100km(self, capsys):
@@ -59,6 +81,19 @@ class TestRate:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "--k" in err and "--mu-prime" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["rate", "--strategy", "qnd", "--k", "310", "--mu-prime", "300", "--eta-e", "0.1"],
+         "--eta-e"),
+        (["rate", "--strategy", "baseline", "--k", "310"], "--k"),
+        (["validate", "--strategy", "baseline", "--mu-prime", "300"], "--mu-prime"),
+        (["scan", "--strategy", "baseline", "--distances", "0,10", "--eta-e", "0.1"], "--eta-e"),
+    ], ids=["qnd-eta-e", "baseline-k", "baseline-mu-prime", "baseline-eta-e"])
+    def test_flag_the_strategy_ignores_is_rejected(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert f"does not take {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, named", [
         (["--distance", "nan"], "distance"),

@@ -80,7 +80,7 @@ class TestTrivialCases:
 
     @given(
         data=st.data(),
-        qnd=st.booleans(),
+        kind=st.sampled_from(["baseline", "qnd", "pnrd"]),
         shard_size=st.integers(1, 8),
         dark_count=st.sampled_from([0.0, 1.7e-6, 0.3]),
         mu_prime=st.sampled_from([0.0, 300.0, 1e6]),
@@ -88,21 +88,27 @@ class TestTrivialCases:
     )
     @settings(max_examples=60, deadline=None)
     def test_tally_invariants_with_tiny_shards(
-        self, data, qnd, shard_size, dark_count, mu_prime, seed
+        self, data, kind, shard_size, dark_count, mu_prime, seed
     ):
         # Shards of one or a few pulses, with a short last shard, produce
-        # shards with no resent pulse and shards with no blocked pulse.
+        # shards with no resent pulse and shards with no blocked pulse, and
+        # baseline shards with no light, no dark count or no click at all.
         rest = data.draw(st.integers(1, max(shard_size - 1, 1)))
         n_pulses = shard_size * data.draw(st.integers(0, 8)) + rest
-        strategy = (QND(mu_prime=mu_prime, k=1000.0) if qnd
-                    else PNRD(mu_prime=mu_prime, k=1000.0, eta_e=0.5))
+        strategy = {"baseline": Baseline(),
+                    "qnd": QND(mu_prime=mu_prime, k=1000.0),
+                    "pnrd": PNRD(mu_prime=mu_prime, k=1000.0, eta_e=0.5)}[kind]
         params = GYS.replace(distance=1.0, dark_count=dark_count)
         run = simulate_pulses(params, strategy, n_pulses, seed=seed, shard_size=shard_size)
         for t in run.tallies.values():
             assert t["sifted"] + t["loss"] == n_pulses
             assert t["click0"] + t["click1"] - t["double_click"] == t["sifted"]
             assert 0 <= t["sifted_error"] <= t["sifted"]
+            assert min(t["click0"], t["click1"], t["loss"]) >= 0
+            if kind == "baseline":  # one detector reading per click, no double clicks
+                assert t["double_click"] == 0
         assert 0 <= run.n_resend <= 2 * n_pulses
+        assert kind != "baseline" or run.n_resend == 0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -235,6 +241,28 @@ class TestClosedFormAgreement:
         for name, successes, trials, analytic in checks:
             _, z, ok = binomial_verdict(successes, trials, analytic)
             assert ok, f"{name}: {successes}/{trials} against {analytic}, z={z:.2f}"
+
+    def test_high_dark_count_baseline_agreement(self):
+        # At d = 0.3 a dark count drawn over every pulse instead of the unlit
+        # ones (the additive Q = d + 1 - exp(-eta*x) of observables_baseline),
+        # a dark click flipped by e_detector instead of a coin, or detector 1
+        # drawn over every pulse instead of the clicks moves these by many
+        # sigma.  The reference is the exact per-pulse one, computed here.
+        d, e = 0.3, 0.1
+        params = GYS.replace(distance=0.0, dark_count=d, eta_bob=1.0, e_detector=e)
+        run = simulate_pulses(params, Baseline(), 1_000_000, seed=2718)
+        n = run.n_pulses
+        for stream, x in (("signal", params.mu), ("decoy", params.nu)):
+            t = run.tallies[stream]
+            unlit = math.exp(-x)  # eta = t_AB * eta_bob = 1 at 0 km
+            checks = [
+                ("Q", t["sifted"], n, 1.0 - (1.0 - d) * unlit),
+                ("EQ", t["sifted_error"], n, e * (1.0 - unlit) + 0.5 * d * unlit),
+                ("click1 share", t["click1"], t["sifted"], 0.5),
+            ]
+            for name, successes, trials, analytic in checks:
+                _, z, ok = binomial_verdict(successes, trials, analytic)
+                assert ok, f"{stream} {name}: {successes}/{trials} against {analytic}, z={z:.2f}"
 
     def test_baseline_agreement(self):
         params = GYS.replace(distance=60.0)
