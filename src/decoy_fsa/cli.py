@@ -69,7 +69,7 @@ def _search_eta_e(args: argparse.Namespace) -> float | None:
 
 
 def _load_params(args: argparse.Namespace) -> SystemParams:
-    params = GYS if args.config is None else SystemParams.from_config(args.config, base=GYS)
+    params = GYS if args.config is None else SystemParams.from_config(args.config)
     if getattr(args, "distance", None) is not None:
         params = params.replace(distance=args.distance)
     return params
@@ -250,11 +250,7 @@ def _cmd_kmin(args: argparse.Namespace) -> int:
         distances = (1.0,) + tuple(float(x) for x in range(10, 141, 10))
     else:
         distances = _parse_values(args.distances, "--distances")
-    rows = []
-    for distance in distances:
-        result = search.k_min(params, distance, tol=args.tol, eta_e=eta_e)
-        rows.append((result.distance, result.k_min, result.mu_prime_at_kmin,
-                     result.converged))
+    rows = [search.k_min(params, distance, tol=args.tol, eta_e=eta_e) for distance in distances]
     out = args.out or f"kmin_{args.recipe or 'scan'}.csv"
     search.write_csv(out, search.KMIN_HEADER, rows)
     print(f"wrote {len(rows)} rows to {out}")

@@ -27,7 +27,10 @@ class DecoyBounds:
     q1_lower: float
     e1_upper: float
     y1_clamped: bool = False
-    e1_unbounded: bool = False
+
+    @property
+    def e1_unbounded(self) -> bool:
+        return math.isinf(self.e1_upper)
 
 
 @dataclass(frozen=True)
@@ -43,12 +46,8 @@ class RateReport:
 
     @property
     def flags(self) -> tuple[str, ...]:
-        out = []
-        if self.bounds.y1_clamped:
-            out.append("clamped_y1")
-        if self.bounds.e1_unbounded:
-            out.append("unbounded_e1")
-        return tuple(out)
+        fired = (("clamped_y1", self.bounds.y1_clamped), ("unbounded_e1", self.bounds.e1_unbounded))
+        return tuple(name for name, on in fired if on)
 
 
 def binary_entropy(x: float) -> float:
@@ -98,13 +97,11 @@ def decoy_bounds(obs: Observables, params: SystemParams) -> DecoyBounds:
     """Run the bound estimators and record the clamp/divergence flags."""
     raw_y1 = _y1_raw(obs, params)
     y1 = min(max(raw_y1, 0.0), 1.0)
-    e1 = e1_upper(obs, y1, params)
     return DecoyBounds(
         y1_lower=y1,
         q1_lower=q1_lower(y1, params.mu),
-        e1_upper=e1,
+        e1_upper=e1_upper(obs, y1, params),
         y1_clamped=raw_y1 != y1,
-        e1_unbounded=math.isinf(e1),
     )
 
 

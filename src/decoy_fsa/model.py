@@ -75,8 +75,8 @@ class SystemParams:
             raise ConfigError(f"f_ec must be finite and >= 1, got {self.f_ec}")
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any], base: "SystemParams | None" = None) -> "SystemParams":
-        """Build params from a flat key/value mapping, on top of ``base`` if given.
+    def from_dict(cls, data: Mapping[str, Any]) -> "SystemParams":
+        """Build params from a flat key/value mapping; absent keys keep their defaults.
 
         Unknown keys are rejected with the offending key named in the message.
         """
@@ -84,17 +84,15 @@ class SystemParams:
         for key in data:
             if key not in known:
                 raise ConfigError(f"unknown parameter key: {key!r}")
-        values = dataclasses.asdict(base) if base is not None else {}
-        values.update(data)
         try:
-            return cls(**{k: float(v) for k, v in values.items()})
+            return cls(**{k: float(v) for k, v in data.items()})
         except (TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"invalid parameter value: {exc}") from exc
 
     @classmethod
-    def from_config(cls, path: str | Path, base: "SystemParams | None" = None) -> "SystemParams":
+    def from_config(cls, path: str | Path) -> "SystemParams":
         """Load params from a flat JSON file (keys exactly the field names)."""
         try:
             data = json.loads(Path(path).read_text())
@@ -102,7 +100,7 @@ class SystemParams:
             raise ConfigError(f"cannot read parameter file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"parameter file {path} must hold a flat JSON object")
-        return cls.from_dict(data, base=base)
+        return cls.from_dict(data)
 
     def replace(self, **changes: float) -> "SystemParams":
         return dataclasses.replace(self, **changes)

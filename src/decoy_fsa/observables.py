@@ -74,16 +74,18 @@ AttackStrategy = Union[Baseline, QND, PNRD]
 class Observables:
     """Per-pulse rates as seen by the legitimate users.
 
-    ``e_mu`` is the overall QBER emu_qmu/q_mu of the signal state.
+    A zero signal gain leaves the QBER undefined and raises
+    :class:`DegenerateObservablesError`.
     """
 
     q_mu: float
     q_nu: float
     emu_qmu: float
     enu_qnu: float
-    e_mu: float
 
     def __post_init__(self) -> None:
+        if self.q_mu <= 0.0:
+            raise DegenerateObservablesError("signal gain is zero; QBER undefined")
         for err, gain, tag in (
             (self.emu_qmu, self.q_mu, "mu"),
             (self.enu_qnu, self.q_nu, "nu"),
@@ -94,6 +96,11 @@ class Observables:
                 )
         if not -_SLACK <= self.e_mu <= 1.0 + _SLACK:
             raise ValueError(f"QBER must be in [0, 1], got {self.e_mu}")
+
+    @property
+    def e_mu(self) -> float:
+        """The overall QBER emu_qmu/q_mu of the signal state."""
+        return self.emu_qmu / self.q_mu
 
 
 def p_single(mu: float, eta_e: float) -> float:
@@ -132,11 +139,7 @@ def _attack_observables(
     enu_qnu = error * attacked_nu + 0.5 * (1.0 - attacked_nu) * d
     emu_qmu = (1.0 - 2.0 * e_detector) * emu_qmu + e_detector * q_mu
     enu_qnu = (1.0 - 2.0 * e_detector) * enu_qnu + e_detector * q_nu
-    if q_mu <= 0.0:
-        raise DegenerateObservablesError(
-            "signal gain is zero; QBER undefined (no faked states and no dark counts)"
-        )
-    return Observables(q_mu=q_mu, q_nu=q_nu, emu_qmu=emu_qmu, enu_qnu=enu_qnu, e_mu=emu_qmu / q_mu)
+    return Observables(q_mu=q_mu, q_nu=q_nu, emu_qmu=emu_qmu, enu_qnu=enu_qnu)
 
 
 def observables_pnrd(params: SystemParams, strategy: QND | PNRD) -> Observables:
@@ -170,9 +173,7 @@ def observables_baseline(params: SystemParams) -> Observables:
     q_nu = d + 1.0 - exp(-eta * params.nu)
     emu_qmu = 0.5 * d + params.e_detector * (1.0 - exp(-eta * params.mu))
     enu_qnu = 0.5 * d + params.e_detector * (1.0 - exp(-eta * params.nu))
-    if q_mu <= 0.0:
-        raise DegenerateObservablesError("signal gain is zero; QBER undefined")
-    return Observables(q_mu=q_mu, q_nu=q_nu, emu_qmu=emu_qmu, enu_qnu=enu_qnu, e_mu=emu_qmu / q_mu)
+    return Observables(q_mu=q_mu, q_nu=q_nu, emu_qmu=emu_qmu, enu_qnu=enu_qnu)
 
 
 def observables_for(params: SystemParams, strategy: AttackStrategy) -> Observables:

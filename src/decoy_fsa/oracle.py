@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import exp
 from typing import Mapping
 
@@ -51,22 +51,10 @@ _STREAMS = ("signal", "decoy")
 _TALLY_KEYS = ("click0", "click1", "double_click", "loss", "sifted", "sifted_error")
 
 
-@dataclass
-class _Counts:
-    """Raw integer tallies accumulated over shards."""
-
-    per_stream: dict[str, dict[str, int]] = field(
-        default_factory=lambda: {s: {k: 0 for k in _TALLY_KEYS} for s in _STREAMS}
-    )
-    n_resend: int = 0
-    resend_click0: int = 0
-    resend_click1: int = 0
-    resend_any: int = 0
-    resend_error: int = 0
-    n_match_v0: int = 0
-    light1_match_v0: int = 0
-    n_match_v1: int = 0
-    light0_match_v1: int = 0
+# Estimates read from resent pulses: the faked-state click, arrival and error
+# probabilities over all resends, and the light-only Table 1 entries over the
+# basis-matched resends of bit 0 (r1) and bit 1 (s0).
+_RESEND_ESTIMATES = ("p_click0", "p_click1", "p_arrive", "p_error", "r1", "s0")
 
 
 @dataclass(frozen=True)
@@ -77,18 +65,30 @@ class EmpiricalObservables:
     ``enu_qnu``, ``p_click0``, ``p_click1``, ``p_arrive``, ``p_error``, ``r1``,
     ``s0``) to its integer (successes, trials).  Each name reads as an
     attribute, successes/trials (nan without trials), and ``<name>_se`` as its
-    binomial standard error.
+    binomial standard error.  ``tallies`` holds the users' per-stream counts.
     """
 
     params: SystemParams
     strategy: AttackStrategy
     n_pulses: int
     seed: int
-    n_resend: int
-    n_match_v0: int
-    n_match_v1: int
     tallies: Mapping[str, Mapping[str, int]]
     counts: Mapping[str, tuple[int, int]]
+
+    @property
+    def n_resend(self) -> int:
+        """Pulses the eavesdropper resent, over both streams."""
+        return self.counts["p_arrive"][1]
+
+    @property
+    def n_match_v0(self) -> int:
+        """Resent bit-0 faked states that Bob measured in their basis."""
+        return self.counts["r1"][1]
+
+    @property
+    def n_match_v1(self) -> int:
+        """Resent bit-1 faked states that Bob measured in their basis."""
+        return self.counts["s0"][1]
 
     def __getattr__(self, name: str) -> float:
         counts = self.__dict__.get("counts", {})
@@ -99,7 +99,7 @@ class EmpiricalObservables:
         raise AttributeError(name)
 
     def manifest_json(self) -> str:
-        """JSON record of the run for regression archiving."""
+        """JSON record of the run for regression archiving; estimates without trials are null."""
         manifest = {
             "strategy": strategy_label(self.strategy),
             "strategy_fields": dict(vars(self.strategy)),
@@ -107,14 +107,16 @@ class EmpiricalObservables:
             "n_pulses": self.n_pulses,
             "seed": self.seed,
             "estimates": {
-                key: getattr(self, key) for name in self.counts for key in (name, f"{name}_se")
+                key: getattr(self, key) if trials else None
+                for name, (_, trials) in self.counts.items()
+                for key in (name, f"{name}_se")
             },
             "n_resend": self.n_resend,
             "n_match_v0": self.n_match_v0,
             "n_match_v1": self.n_match_v1,
             "tallies": {s: dict(t) for s, t in self.tallies.items()},
         }
-        return json.dumps(manifest, indent=2, sort_keys=True)
+        return json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _binom_se(p: float, trials: int) -> float:
@@ -205,14 +207,13 @@ def _simulate_attack_shard(
     rng: np.random.Generator,
     params: SystemParams,
     strategy: QND | PNRD,
-    stream: str,
+    intensity: float,
     m: int,
-    counts: _Counts,
+    tally: dict[str, int],
+    resend: dict[str, list[int]],
     light: np.ndarray,
     click: np.ndarray,
 ) -> None:
-    intensity = params.mu if stream == "signal" else params.nu
-
     photons = rng.poisson(intensity, size=m)
     if strategy.eta_e < 1.0:
         # Binomial(0, p) consumes no random numbers, so only the non-vacuum
@@ -255,7 +256,7 @@ def _simulate_attack_shard(
     )
     # Bob's intrinsic detector error flips each clicked bit with probability
     # e_detector, wrong bits first, then right ones.  It reaches the users'
-    # error tallies only; resend_error stays the faked-state count.  A blocked
+    # error tallies only; p_error stays the faked-state count.  A blocked
     # pulse's bit is a fair coin already, and a flip leaves it one.
     n_user_errors = n_errors
     if params.e_detector:
@@ -263,7 +264,6 @@ def _simulate_attack_shard(
         right_flipped = int(rng.binomial(n_clicked - n_errors, params.e_detector))
         n_user_errors += right_flipped - wrong_flipped
 
-    tally = counts.per_stream[stream]
     tally["click0"] += n_click0 + (n_block_click - block_det1)
     tally["click1"] += n_click1 + block_det1
     tally["double_click"] += n_double
@@ -271,30 +271,29 @@ def _simulate_attack_shard(
     tally["sifted"] += n_clicked + n_block_click
     tally["sifted_error"] += n_user_errors + n_block_err
 
-    counts.n_resend += ka
-    counts.resend_click0 += n_click0
-    counts.resend_click1 += n_click1
-    counts.resend_any += n_clicked
-    counts.resend_error += n_errors
-
     # Light-only tallies: detector 1 on (match, result 0), detector 0 on
     # (match, result 1).
     match_v0 = case == 2
     match_v1 = case == 3
-    counts.n_match_v0 += int(np.count_nonzero(match_v0))
-    counts.light1_match_v0 += int(np.count_nonzero(match_v0 & (u1 < light[1, 2])))
-    counts.n_match_v1 += int(np.count_nonzero(match_v1))
-    counts.light0_match_v1 += int(np.count_nonzero(match_v1 & (u0 < light[0, 3])))
+    for name, successes, trials in (
+        ("p_click0", n_click0, ka),
+        ("p_click1", n_click1, ka),
+        ("p_arrive", n_clicked, ka),
+        ("p_error", n_errors, ka),
+        ("r1", np.count_nonzero(match_v0 & (u1 < light[1, 2])), np.count_nonzero(match_v0)),
+        ("s0", np.count_nonzero(match_v1 & (u0 < light[0, 3])), np.count_nonzero(match_v1)),
+    ):
+        resend[name][0] += int(successes)
+        resend[name][1] += int(trials)
 
 
 def _simulate_baseline_shard(
     rng: np.random.Generator,
     params: SystemParams,
-    stream: str,
+    intensity: float,
     m: int,
-    counts: _Counts,
+    tally: dict[str, int],
 ) -> None:
-    intensity = params.mu if stream == "signal" else params.nu
     eta = channel_transmittance(params.alpha, params.distance) * params.eta_bob
 
     photons = rng.poisson(intensity, size=m)
@@ -306,7 +305,6 @@ def _simulate_baseline_shard(
     n_errors = int(rng.binomial(n_light, params.e_detector)) + int(rng.binomial(n_dark, 0.5))
     n_det1 = int(rng.binomial(n_clicked, 0.5))  # unbiased bit stream on a calibrated link
 
-    tally = counts.per_stream[stream]
     tally["click0"] += n_clicked - n_det1
     tally["click1"] += n_det1
     tally["loss"] += m - n_clicked
@@ -332,7 +330,8 @@ def simulate_pulses(
     if shard_size < 1:
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")
 
-    counts = _Counts()
+    tallies = {stream: dict.fromkeys(_TALLY_KEYS, 0) for stream in _STREAMS}
+    resend = {name: [0, 0] for name in _RESEND_ESTIMATES}
     n_shards = (n_pulses + shard_size - 1) // shard_size
     children = np.random.SeedSequence(seed).spawn(n_shards)
     attack = not isinstance(strategy, Baseline)
@@ -341,32 +340,25 @@ def simulate_pulses(
     for index in range(n_shards):
         rng = np.random.default_rng(children[index])
         m = min(shard_size, n_pulses - index * shard_size)
-        for stream in _STREAMS:
+        for stream, intensity in zip(_STREAMS, (params.mu, params.nu)):
             if attack:
-                _simulate_attack_shard(rng, params, strategy, stream, m, counts, light, click)
+                _simulate_attack_shard(rng, params, strategy, intensity, m, tallies[stream],
+                                       resend, light, click)
             else:
-                _simulate_baseline_shard(rng, params, stream, m, counts)
+                _simulate_baseline_shard(rng, params, intensity, m, tallies[stream])
 
-    signal, decoy = counts.per_stream["signal"], counts.per_stream["decoy"]
+    signal, decoy = tallies["signal"], tallies["decoy"]
     return EmpiricalObservables(
         params=params,
         strategy=strategy,
         n_pulses=n_pulses,
         seed=seed,
-        n_resend=counts.n_resend,
-        n_match_v0=counts.n_match_v0,
-        n_match_v1=counts.n_match_v1,
-        tallies=counts.per_stream,
+        tallies=tallies,
         counts={
             "q_mu": (signal["sifted"], n_pulses),
             "q_nu": (decoy["sifted"], n_pulses),
             "emu_qmu": (signal["sifted_error"], n_pulses),
             "enu_qnu": (decoy["sifted_error"], n_pulses),
-            "p_click0": (counts.resend_click0, counts.n_resend),
-            "p_click1": (counts.resend_click1, counts.n_resend),
-            "p_arrive": (counts.resend_any, counts.n_resend),
-            "p_error": (counts.resend_error, counts.n_resend),
-            "r1": (counts.light1_match_v0, counts.n_match_v0),
-            "s0": (counts.light0_match_v1, counts.n_match_v1),
+            **{name: tuple(pair) for name, pair in resend.items()},
         },
     )

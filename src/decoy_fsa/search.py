@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .decoy import RateReport, evaluate
+from .decoy import evaluate
 from .model import SystemParams
 from .observables import (
     AttackStrategy,
@@ -31,21 +31,6 @@ COARSE_MU_MAX = 2000.0
 FINE_MU_STEP = 1.0
 
 FLOAT_FMT = "{:.17g}"
-
-SWEEP_HEADER = ("k", "mu_prime", "rate", "feasible")
-KMIN_HEADER = ("L", "k_min", "mu_prime_at_kmin", "converged")
-SCAN_HEADER = (
-    "strategy",
-    "L",
-    "q_mu",
-    "e_mu",
-    "y1_lower",
-    "q1_lower",
-    "e1_upper",
-    "rate",
-    "r_absolute",
-    "flags",
-)
 
 
 @dataclass(frozen=True)
@@ -66,8 +51,7 @@ class SweepGrid:
             raise ValueError(f"k_values must lie in [1, {K_MAX}]")
 
 
-@dataclass(frozen=True)
-class KminResult:
+class KminResult(NamedTuple):
     """Smallest mismatch ratio at which some intensity makes the rate positive."""
 
     distance: float
@@ -99,6 +83,16 @@ class ScanRow(NamedTuple):
     rate: float
     r_absolute: float
     flags: str
+
+
+def _header(row_type: type) -> tuple[str, ...]:
+    """CSV column names: the row fields, with ``distance`` written as ``L``."""
+    return tuple("L" if name == "distance" else name for name in row_type._fields)
+
+
+SWEEP_HEADER = _header(SweepRow)
+KMIN_HEADER = _header(KminResult)
+SCAN_HEADER = _header(ScanRow)
 
 
 def _make_strategy(k: float, mu_prime: float, eta_e: float | None) -> AttackStrategy:
@@ -205,28 +199,13 @@ def sweep_grid(
     return rows
 
 
-def distance_scan(
-    params: SystemParams, strategy: AttackStrategy, l_values: Sequence[float]
-) -> list[ScanRow]:
-    """Evaluate one strategy across distances; degenerate points become flagged rows."""
+def scan_row_for(params: SystemParams, strategy: AttackStrategy) -> ScanRow:
+    """One strategy at one point; a degenerate point (zero signal gain) is a flagged row."""
     label = strategy_label(strategy)
-    rows = []
-    for distance in l_values:
-        p = params.replace(distance=distance)
-        try:
-            report = evaluate(p, strategy)
-        except DegenerateObservablesError:
-            rows.append(
-                ScanRow(label, distance, math.nan, math.nan, math.nan, math.nan,
-                        math.nan, math.nan, math.nan, "degenerate")
-            )
-            continue
-        rows.append(_scan_row(label, report))
-    return rows
-
-
-def _scan_row(label: str, report: RateReport) -> ScanRow:
-    r_abs = math.nan if report.r_absolute is None else report.r_absolute
+    try:
+        report = evaluate(params, strategy)
+    except DegenerateObservablesError:
+        return ScanRow(label, params.distance, *[math.nan] * 7, "degenerate")
     return ScanRow(
         strategy=label,
         distance=report.distance,
@@ -236,14 +215,16 @@ def _scan_row(label: str, report: RateReport) -> ScanRow:
         q1_lower=report.bounds.q1_lower,
         e1_upper=report.bounds.e1_upper,
         rate=report.rate,
-        r_absolute=r_abs,
+        r_absolute=math.nan if report.r_absolute is None else report.r_absolute,
         flags="|".join(report.flags),
     )
 
 
-def scan_row_for(params: SystemParams, strategy: AttackStrategy) -> ScanRow:
-    """Single-point counterpart of :func:`distance_scan`."""
-    return _scan_row(strategy_label(strategy), evaluate(params, strategy))
+def distance_scan(
+    params: SystemParams, strategy: AttackStrategy, l_values: Sequence[float]
+) -> list[ScanRow]:
+    """Evaluate one strategy across distances, one :func:`scan_row_for` row each."""
+    return [scan_row_for(params.replace(distance=distance), strategy) for distance in l_values]
 
 
 def _cell(value: object) -> str:

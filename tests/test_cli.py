@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from decoy_fsa.cli import EXIT_CONFIG, EXIT_OK, build_parser, main
+from decoy_fsa import cli
+from decoy_fsa.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from decoy_fsa.search import SCAN_HEADER
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -68,6 +70,31 @@ class TestRate:
         out = capsys.readouterr().out
         rate = float(next(line for line in out.splitlines() if line.startswith("rate")).split("=")[1])
         assert rate > 0.0
+
+    def test_out_writes_the_printed_row(self, tmp_path, capsys):
+        out = tmp_path / "rate.csv"
+        code = main(["rate", "--strategy", "qnd", "--k", "310", "--mu-prime", "300",
+                     "--distance", "100", "--out", str(out)])
+        assert code == EXIT_OK
+        printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        [row] = read_csv(out)
+        assert tuple(row) == SCAN_HEADER == tuple(printed)
+        assert row["flags"] == printed["flags"] == ""
+        assert float(row["rate"]) == float(printed["rate"]) > 0.0
+
+    def test_degenerate_point_is_a_flagged_row(self, tmp_path, capsys):
+        # Without dark counts the baseline gain underflows to zero at 900 km:
+        # rate prints the flagged row that scan writes, and exits 0.
+        config = tmp_path / "dark.json"
+        config.write_text(json.dumps({"dark_count": 0}))
+        rate_out, scan_out = tmp_path / "rate.csv", tmp_path / "scan.csv"
+        code = main(["rate", "--config", str(config), "--distance", "900",
+                     "--out", str(rate_out)])
+        assert code == EXIT_OK
+        assert "flags = degenerate" in capsys.readouterr().out.splitlines()
+        assert main(["scan", "--config", str(config), "--distances", "900",
+                     "--out", str(scan_out)]) == EXIT_OK
+        assert rate_out.read_bytes() == scan_out.read_bytes()
 
     def test_malformed_config_key_names_the_key(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
@@ -238,6 +265,33 @@ class TestValidate:
         assert code == EXIT_OK
         rows = read_csv(out)
         assert all(r["pass"] == "true" for r in rows)
+
+    def test_disagreement_exits_3(self, tmp_path, capsys, monkeypatch):
+        # A closed form off by far more than 3 sigma fails that quantity alone.
+        analytic = cli._analytic_quantities
+        monkeypatch.setattr(cli, "_analytic_quantities",
+                            lambda params, strategy: {**analytic(params, strategy), "q_mu": 0.5})
+        out = tmp_path / "val.csv"
+        code = main(["validate", "--strategy", "baseline", "--distance", "60",
+                     "--n-pulses", "20000", "--seed", "8", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "validation FAILED" in capsys.readouterr().err
+        assert {r["quantity"]: r["pass"] for r in read_csv(out)} == {
+            "q_mu": "false", "q_nu": "true", "emu_qmu": "true", "enu_qnu": "true"}
+
+    def test_manifest_records_the_run(self, tmp_path, capsys):
+        out, manifest = tmp_path / "val.csv", tmp_path / "run.json"
+        code = main(["validate", "--strategy", "qnd", "--k", "310", "--mu-prime", "300",
+                     "--distance", "100", "--n-pulses", "20000", "--seed", "4",
+                     "--out", str(out), "--manifest", str(manifest)])
+        assert code == EXIT_OK
+        assert f"wrote run manifest to {manifest}" in capsys.readouterr().out
+        record = json.loads(manifest.read_text())
+        assert (record["strategy"], record["n_pulses"], record["seed"]) == ("qnd", 20000, 4)
+        assert record["params"]["distance"] == 100.0
+        assert record["strategy_fields"] == {"mu_prime": 300.0, "k": 310.0}
+        for row in read_csv(out):
+            assert float(row["empirical"]) == record["estimates"][row["quantity"]]
 
     @pytest.mark.parametrize("n_pulses", ["0", "-5"])
     def test_non_positive_pulse_count_is_config_error(self, tmp_path, capsys, n_pulses):

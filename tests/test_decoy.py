@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from decoy_fsa.decoy import (
+    RateReport,
     binary_entropy,
     decoy_bounds,
     e1_upper,
@@ -38,8 +39,7 @@ P1 = 0.29701602806694761
 
 
 def obs_with(q_mu, q_nu, emu_qmu, enu_qnu):
-    return Observables(q_mu=q_mu, q_nu=q_nu, emu_qmu=emu_qmu, enu_qnu=enu_qnu,
-                       e_mu=emu_qmu / q_mu)
+    return Observables(q_mu=q_mu, q_nu=q_nu, emu_qmu=emu_qmu, enu_qnu=enu_qnu)
 
 
 class TestBinaryEntropy:
@@ -113,6 +113,10 @@ class TestY1Lower:
         assert bounds.y1_lower == 0.0
         assert bounds.y1_clamped
         assert bounds.e1_unbounded
+        # No physical GYS point fires these flags, so the report reads them here.
+        report = RateReport(distance=params.distance, strategy=Baseline(), observables=obs,
+                            bounds=bounds, rate=key_rate(obs, bounds, params))
+        assert report.flags == ("clamped_y1", "unbounded_e1")
 
 
 class TestQ1Lower:

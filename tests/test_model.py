@@ -143,7 +143,7 @@ class TestSystemParams:
     def test_config_roundtrip(self, tmp_path):
         path = tmp_path / "params.json"
         path.write_text(json.dumps({"distance": 42.0, "mu": 0.5}))
-        p = SystemParams.from_config(path, base=GYS)
+        p = SystemParams.from_config(path)
         assert p.distance == 42.0
         assert p.mu == 0.5
         assert p.nu == GYS.nu

@@ -62,6 +62,23 @@ class TestDeterminism:
         assert set(manifest["tallies"]) == {"signal", "decoy"}
         assert "q_mu" in manifest["estimates"]
 
+    @pytest.mark.parametrize("strategy", [
+        Baseline(),
+        QND(mu_prime=300.0, k=310.0),
+        PNRD(mu_prime=900.0, k=1000.0, eta_e=0.1),
+    ], ids=["baseline", "qnd", "pnrd"])
+    def test_manifest_is_strict_json(self, strategy):
+        # RFC 8259 has no NaN or Infinity; an estimate without trials is null.
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        run = simulate_pulses(GYS, strategy, 20_000, seed=5)
+        estimates = json.loads(run.manifest_json(), parse_constant=reject)["estimates"]
+        for name, (_, trials) in run.counts.items():
+            assert (estimates[name] is None) == (trials == 0), name
+            assert (estimates[f"{name}_se"] is None) == (trials == 0), name
+        assert isinstance(strategy, Baseline) == (estimates["p_arrive"] is None)
+
 
 class TestTrivialCases:
     def test_vacuum_resends_without_darks_never_click(self):

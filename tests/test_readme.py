@@ -1,9 +1,11 @@
-"""README's library quick start runs as written, on the package root's names."""
+"""README's library quick start runs as written, and its command lines parse."""
 
 import re
+import shlex
 from pathlib import Path
 
 import decoy_fsa
+from decoy_fsa.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,3 +19,16 @@ def test_quick_start_runs(capsys):
 def test_root_exports_resolve():
     for name in decoy_fsa.__all__:
         assert hasattr(decoy_fsa, name), name
+
+
+def test_command_lines_parse():
+    # Every command of the command-line block, backslash continuations joined;
+    # parsed only, not run (argparse exits on a flag it does not know).
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.DOTALL).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [argv for argv in (shlex.split(line, comments=True) for line in lines) if argv]
+    assert commands
+    for program, *argv in commands:
+        assert program == "decoy-fsa"
+        assert build_parser().parse_args(argv).command == argv[0]
