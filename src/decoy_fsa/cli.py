@@ -10,6 +10,7 @@ failure (analytic vs Monte Carlo disagreement beyond 3 sigma).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -79,53 +80,78 @@ def _flags(names) -> str:
     return ", ".join("--" + name.replace("_", "-") for name in names)
 
 
-# The strategy flags each strategy reads (pnrd reads all); it takes no other.
-_STRATEGY_FLAGS = {"baseline": (), "qnd": ("k", "mu_prime"), "pnrd": ("k", "mu_prime", "eta_e")}
+# The --strategy choices; each reads the flags named by its class's fields and no other.
+_STRATEGIES = {"baseline": Baseline, "qnd": QND, "pnrd": PNRD}
 
 
-def _build_strategy(args: argparse.Namespace, params: SystemParams) -> AttackStrategy:
-    """The strategy the flags name, its --k checked at ``params.distance``.
+def _check_reach(params: SystemParams, k: float, distances: Sequence[float], flags) -> None:
+    """Reject a mismatch ratio the efficiency geometry cannot hold over the distances.
 
-    The timing-matched efficiency k*eta_01 is largest at the shortest
-    distance, so a scan checks only that one.
+    k*eta_01 <= 1 binds at the shortest distance and the normal-float floor
+    of eta_01 at the longest, so only those two are checked.
     """
-    kind, reads = args.strategy, _STRATEGY_FLAGS[args.strategy]
-    given = [name for name in _STRATEGY_FLAGS["pnrd"] if getattr(args, name) is not None]
+    for d in sorted({min(distances), max(distances)}):
+        try:
+            efficiency_matrix(params.replace(distance=d), k)
+        except ValueError as exc:
+            raise ConfigError(f"{_flags(flags)}: k = {k} at distance {d} km: {exc}") from exc
+
+
+def _build_strategy(
+    args: argparse.Namespace, params: SystemParams, distances: Sequence[float] | None = None
+) -> AttackStrategy:
+    """The strategy the flags name, its --k checked at ``params.distance`` or over a scan."""
+    kind, cls = args.strategy, _STRATEGIES[args.strategy]
+    reads = [f.name for f in dataclasses.fields(cls)]
+    flags = dict.fromkeys(f.name for c in _STRATEGIES.values() for f in dataclasses.fields(c))
+    given = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
     if unused := [name for name in given if name not in reads]:
         raise ConfigError(f"strategy {kind!r} does not take {_flags(unused)}")
     if missing := [name for name in reads if name not in given]:
         raise ConfigError(f"strategy {kind!r} requires {_flags(missing)}")
-    if kind == "baseline":
-        return Baseline()
     try:
-        strategy = (QND(mu_prime=args.mu_prime, k=args.k) if kind == "qnd"
-                    else PNRD(mu_prime=args.mu_prime, k=args.k, eta_e=args.eta_e))
+        strategy = cls(**given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    try:
-        efficiency_matrix(params, strategy.k)
-    except ValueError as exc:
-        raise ConfigError(f"--k {strategy.k} at distance {params.distance} km: {exc}") from exc
+    if not isinstance(strategy, Baseline):
+        _check_reach(params, strategy.k, distances or (params.distance,),
+                     ("k", "distances" if distances else "distance"))
     return strategy
 
 
-# Flags a --recipe sets itself, with their values when no recipe is given.
-_RECIPE_FLAGS = {
-    "scan": {"strategy": "baseline", "k": None, "mu_prime": None, "eta_e": None,
-             "distances": "0:200:2"},
-    "sweep": {"distance": 100.0, "k_values": "10:1000:10", "mu_prime_values": "0:2000:20",
-              "eta_e": None},
-    "kmin": {"distances": "1:140:10"},
+# Per command, the flags a --recipe sets: the None entry holds their values
+# without a recipe (None: unset), and a named recipe overrides some of them.
+# A scan recipe's strategy is the tuple of strategies it scans.
+_RECIPES: dict[str, dict[str | None, dict[str, object]]] = {
+    "scan": {
+        None: {"strategy": "baseline", "k": None, "mu_prime": None, "eta_e": None,
+               "distances": "0:200:2"},
+        "fig3": {"strategy": (Baseline(), QND(mu_prime=300.0, k=310.0))},
+        "fig6": {"strategy": (Baseline(), PNRD(mu_prime=900.0, k=1000.0, eta_e=0.1))},
+        "fig7": {"strategy": (PNRD(mu_prime=900.0, k=1000.0, eta_e=0.1),), "distances": "0:180:2"},
+    },
+    "sweep": {
+        None: {"distance": None, "k_values": "10:1000:10", "mu_prime_values": "0:2000:20",
+               "eta_e": None},
+        "fig2": {"distance": 100.0},
+    },
+    "kmin": {
+        None: {"distances": "1:140:10"},
+        "fig4": {"distances": "1,10,20,30,40,50,60,70,80,90,100,110,120,130,140"},
+    },
 }
 
 
 def _resolve_recipe_flags(args: argparse.Namespace) -> None:
-    """Reject a flag the recipe would override; otherwise fill in the flag defaults."""
-    defaults = _RECIPE_FLAGS.get(args.command, {})
-    given = [name for name in defaults if getattr(args, name) is not None]
+    """Reject a flag the recipe would set; otherwise fill in the unset flags."""
+    if args.command not in _RECIPES:
+        return
+    recipes = _RECIPES[args.command]
+    given = [name for name in recipes[None] if getattr(args, name) is not None]
     if given and args.recipe is not None:
         raise ConfigError(f"--recipe {args.recipe} sets {_flags(given)} itself")
-    vars(args).update({name: v for name, v in defaults.items() if getattr(args, name) is None})
+    values = {**recipes[None], **recipes[args.recipe]}
+    vars(args).update({name: v for name, v in values.items() if getattr(args, name) is None})
 
 
 @functools.cache
@@ -144,8 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="flat JSON parameter file")
         p.add_argument("--out", default=None, help="output CSV path")
         if with_strategy:
-            p.add_argument("--strategy", choices=("baseline", "qnd", "pnrd"),
-                           default="baseline")
+            p.add_argument("--strategy", choices=tuple(_STRATEGIES), default="baseline")
             p.add_argument("--k", type=float, default=None,
                            help="detector efficiency mismatch ratio")
             p.add_argument("--mu-prime", type=float, default=None,
@@ -160,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="key-rate scan over distance")
     add_common(p_scan)
     p_scan.add_argument("--distances", help="'start:stop:step' or comma list, km")
-    p_scan.add_argument("--recipe", choices=("fig3", "fig6", "fig7"), default=None,
-                        help="named two-curve/one-curve reproduction recipe")
 
     p_sweep = sub.add_parser("sweep", help="(k, mu') feasibility surface at one distance")
     add_common(p_sweep, with_strategy=False)
@@ -170,14 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--mu-prime-values")
     p_sweep.add_argument("--eta-e", type=float,
                          help="use the PNRD strategy with this efficiency")
-    p_sweep.add_argument("--recipe", choices=("fig2",), default=None)
 
     p_kmin = sub.add_parser("kmin", help="minimum attackable mismatch ratio per distance")
     add_common(p_kmin, with_strategy=False)
     p_kmin.add_argument("--distances")
     p_kmin.add_argument("--tol", type=float, default=0.5)
     p_kmin.add_argument("--eta-e", type=float, default=None)
-    p_kmin.add_argument("--recipe", choices=("fig4",), default=None)
 
     p_val = sub.add_parser("validate",
                            help="Monte Carlo vs closed-form comparison at 3 sigma")
@@ -188,8 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--manifest", default=None,
                        help="also write the run manifest (JSON) to this path")
 
-    for name, flags in _RECIPE_FLAGS.items():
-        sub.choices[name].set_defaults(**dict.fromkeys(flags))
+    for name, recipes in _RECIPES.items():
+        sub.choices[name].add_argument("--recipe", choices=[r for r in recipes if r], default=None,
+                                       help="named figure reproduction recipe")
+        sub.choices[name].set_defaults(**dict.fromkeys(recipes[None]))
     return parser
 
 
@@ -204,21 +227,10 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_SCAN_RECIPES: dict[str, tuple[tuple[AttackStrategy, ...], str]] = {
-    "fig3": ((Baseline(), QND(mu_prime=300.0, k=310.0)), "0:200:2"),
-    "fig6": ((Baseline(), PNRD(mu_prime=900.0, k=1000.0, eta_e=0.1)), "0:200:2"),
-    "fig7": ((PNRD(mu_prime=900.0, k=1000.0, eta_e=0.1),), "0:180:2"),
-}
-
-
 def _cmd_scan(args: argparse.Namespace) -> int:
     params = _load_params(args)
-    if args.recipe is not None:
-        strategies, distances_spec = _SCAN_RECIPES[args.recipe]
-        distances = _parse_values(distances_spec, "--distances")
-    else:
-        distances = _parse_values(args.distances, "--distances")
-        strategies = (_build_strategy(args, params.replace(distance=min(distances))),)
+    distances = _parse_values(args.distances, "--distances")
+    strategies = args.strategy if args.recipe else (_build_strategy(args, params, distances),)
     rows = []
     for strategy in strategies:
         rows.extend(search.distance_scan(params, strategy, distances))
@@ -229,12 +241,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    # The fig2 recipe is the default grid: (k, mu') at 100 km, QND.
-    grid = search.SweepGrid(
-        k_values=_grid_values(args.k_values, "--k-values", 1.0, search.K_MAX),
-        mu_prime_values=_grid_values(args.mu_prime_values, "--mu-prime-values", 0.0, math.inf),
-    )
-    rows = search.sweep_grid(_load_params(args), grid, _search_eta_e(args))
+    # The fig2 recipe is the default grid at 100 km, QND.
+    k_values = _grid_values(args.k_values, "--k-values", 1.0, search.K_MAX)
+    mu_prime_values = _grid_values(args.mu_prime_values, "--mu-prime-values", 0.0, math.inf)
+    params = _load_params(args)
+    _check_reach(params, k_values[-1], (params.distance,), ("k_values", "distance"))
+    rows = search.sweep_grid(params, k_values, mu_prime_values, _search_eta_e(args))
     out = args.out or f"sweep_{args.recipe or 'grid'}.csv"
     search.write_csv(out, search.SWEEP_HEADER, rows)
     print(f"wrote {len(rows)} rows to {out}")
@@ -246,10 +258,8 @@ def _cmd_kmin(args: argparse.Namespace) -> int:
     eta_e = _search_eta_e(args)
     if not 0.0 < args.tol < math.inf:
         raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
-    if args.recipe == "fig4":
-        distances = (1.0,) + tuple(float(x) for x in range(10, 141, 10))
-    else:
-        distances = _parse_values(args.distances, "--distances")
+    distances = _parse_values(args.distances, "--distances")
+    _check_reach(params, search.K_MAX, distances, ("distances",))
     rows = [search.k_min(params, distance, tol=args.tol, eta_e=eta_e) for distance in distances]
     out = args.out or f"kmin_{args.recipe or 'scan'}.csv"
     search.write_csv(out, search.KMIN_HEADER, rows)

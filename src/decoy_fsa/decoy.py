@@ -35,14 +35,12 @@ class DecoyBounds:
 
 @dataclass(frozen=True)
 class RateReport:
-    """One (distance, strategy) evaluation of the full pipeline."""
+    """One evaluation of the full pipeline; ``r_absolute`` is NaN unless the strategy is PNRD."""
 
-    distance: float
-    strategy: AttackStrategy
     observables: Observables
     bounds: DecoyBounds
     rate: float
-    r_absolute: float | None = None
+    r_absolute: float
 
     @property
     def flags(self) -> tuple[str, ...]:
@@ -71,11 +69,6 @@ def _y1_raw(obs: Observables, params: SystemParams) -> float:
             - (mu**2 - nu**2) / mu**2 * d
         )
     )
-
-
-def y1_lower(obs: Observables, params: SystemParams) -> float:
-    """Lower bound on the single-photon yield, clamped to [0, 1]."""
-    return min(max(_y1_raw(obs, params), 0.0), 1.0)
 
 
 def q1_lower(y1: float, mu: float) -> float:
@@ -144,14 +137,5 @@ def evaluate(params: SystemParams, strategy: AttackStrategy) -> RateReport:
     obs = observables_for(params, strategy)
     bounds = decoy_bounds(obs, params)
     rate = key_rate(obs, bounds, params)
-    r_abs = None
-    if isinstance(strategy, PNRD):
-        r_abs = security.r_absolute_for(params, strategy)
-    return RateReport(
-        distance=params.distance,
-        strategy=strategy,
-        observables=obs,
-        bounds=bounds,
-        rate=rate,
-        r_absolute=r_abs,
-    )
+    r_abs = security.r_absolute_for(params, strategy) if isinstance(strategy, PNRD) else math.nan
+    return RateReport(observables=obs, bounds=bounds, rate=rate, r_absolute=r_abs)

@@ -78,18 +78,16 @@ class SystemParams:
     def from_dict(cls, data: Mapping[str, Any]) -> "SystemParams":
         """Build params from a flat key/value mapping; absent keys keep their defaults.
 
-        Unknown keys are rejected with the offending key named in the message.
+        Unknown keys and values that are not numbers (booleans and strings
+        included) are rejected with the offending key named in the message.
         """
         known = {f.name for f in dataclasses.fields(cls)}
-        for key in data:
+        for key, value in data.items():
             if key not in known:
                 raise ConfigError(f"unknown parameter key: {key!r}")
-        try:
-            return cls(**{k: float(v) for k, v in data.items()})
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"invalid parameter value: {exc}") from exc
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"parameter {key!r} must be a number, got {value!r}")
+        return cls(**{k: float(v) for k, v in data.items()})
 
     @classmethod
     def from_config(cls, path: str | Path) -> "SystemParams":

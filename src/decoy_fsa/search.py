@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -31,24 +30,6 @@ COARSE_MU_MAX = 2000.0
 FINE_MU_STEP = 1.0
 
 FLOAT_FMT = "{:.17g}"
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Ordered evaluation grid over mismatch ratio and intensity."""
-
-    k_values: tuple[float, ...]
-    mu_prime_values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        for name in ("k_values", "mu_prime_values"):
-            values = getattr(self, name)
-            if not values:
-                raise ValueError(f"{name} must be non-empty")
-            if any(b <= a for a, b in zip(values, values[1:])):
-                raise ValueError(f"{name} must be strictly increasing")
-        if any(not 1.0 <= k <= K_MAX for k in self.k_values):
-            raise ValueError(f"k_values must lie in [1, {K_MAX}]")
 
 
 class KminResult(NamedTuple):
@@ -185,15 +166,18 @@ def k_min(
 
 
 def sweep_grid(
-    params: SystemParams, grid: SweepGrid, eta_e: float | None = None
+    params: SystemParams,
+    k_values: Sequence[float],
+    mu_prime_values: Sequence[float],
+    eta_e: float | None = None,
 ) -> list[SweepRow]:
     """Full Cartesian rate evaluation, k-major row order.
 
     Rows with a negative rate are retained and flagged infeasible.
     """
     rows = []
-    for k in grid.k_values:
-        for mu_prime in grid.mu_prime_values:
+    for k in k_values:
+        for mu_prime in mu_prime_values:
             rate = _rate_at(params, k, mu_prime, eta_e)
             rows.append(SweepRow(k=k, mu_prime=mu_prime, rate=rate, feasible=rate > 0.0))
     return rows
@@ -208,14 +192,14 @@ def scan_row_for(params: SystemParams, strategy: AttackStrategy) -> ScanRow:
         return ScanRow(label, params.distance, *[math.nan] * 7, "degenerate")
     return ScanRow(
         strategy=label,
-        distance=report.distance,
+        distance=params.distance,
         q_mu=report.observables.q_mu,
         e_mu=report.observables.e_mu,
         y1_lower=report.bounds.y1_lower,
         q1_lower=report.bounds.q1_lower,
         e1_upper=report.bounds.e1_upper,
         rate=report.rate,
-        r_absolute=math.nan if report.r_absolute is None else report.r_absolute,
+        r_absolute=report.r_absolute,
         flags="|".join(report.flags),
     )
 

@@ -9,6 +9,9 @@ import pytest
 
 from decoy_fsa import cli
 from decoy_fsa.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from decoy_fsa.decoy import evaluate
+from decoy_fsa.model import GYS
+from decoy_fsa.observables import QND
 from decoy_fsa.search import SCAN_HEADER
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -31,6 +34,12 @@ class TestParser:
         ):
             args = parser.parse_args(argv)
             assert args.command == argv[0]
+
+    @pytest.mark.parametrize("command", sorted(cli._RECIPES))
+    def test_recipe_choices_are_the_recipe_table_entries(self, command):
+        sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+        [recipe] = [a for a in sub._actions if a.dest == "recipe"]
+        assert set(recipe.choices) == set(cli._RECIPES[command]) - {None}
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
@@ -109,6 +118,11 @@ class TestRate:
         err = capsys.readouterr().err
         assert "--k" in err and "--mu-prime" in err
 
+    def test_missing_pnrd_options(self, capsys):
+        assert main(["rate", "--strategy", "pnrd"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--k" in err and "--mu-prime" in err and "--eta-e" in err
+
     @pytest.mark.parametrize("argv, flag", [
         (["rate", "--strategy", "qnd", "--k", "310", "--mu-prime", "300", "--eta-e", "0.1"],
          "--eta-e"),
@@ -150,6 +164,22 @@ class TestRate:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "--k" in err and "distance 0.0 km" in err and "exceeds 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["scan", "--strategy", "qnd", "--k", "310", "--mu-prime", "300",
+          "--distances", "0,15000"], "--distances"),
+        (["sweep", "--distance", "15000"], "--distance"),
+        (["kmin", "--distances", "15000"], "--distances"),
+    ], ids=["scan", "sweep", "kmin"])
+    def test_blinded_efficiency_below_float_floor_names_the_flag(
+        self, tmp_path, capsys, argv, flag
+    ):
+        # At 15,000 km eta_01 is subnormal; the longest distance is checked.
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert flag in err and "distance 15000.0 km" in err and "smallest normal float" in err
         assert not out.exists()
 
 
@@ -199,6 +229,26 @@ class TestSweepAndKmin:
         assert float(target["rate"]) > 0.0
         assert target["feasible"] == "true"
 
+    def test_sweep_runs_at_the_config_distance(self, tmp_path, capsys):
+        config = tmp_path / "d50.json"
+        config.write_text(json.dumps({"distance": 50}))
+        sweep_out, fig2_out = tmp_path / "sweep.csv", tmp_path / "fig2.csv"
+        assert main(["sweep", "--config", str(config), "--k-values", "310",
+                     "--mu-prime-values", "300", "--out", str(sweep_out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["rate", "--config", str(config), "--strategy", "qnd", "--k", "310",
+                     "--mu-prime", "300"]) == EXIT_OK
+        printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert printed["L"] == "50.0"
+        [row] = read_csv(sweep_out)
+        assert float(row["rate"]) == float(printed["rate"])
+        # The fig2 recipe fixes 100 km, whatever the file says.
+        assert main(["sweep", "--recipe", "fig2", "--config", str(config),
+                     "--out", str(fig2_out)]) == EXIT_OK
+        [published] = [r for r in read_csv(fig2_out) if (r["k"], r["mu_prime"]) == ("310", "300")]
+        at_100km = evaluate(GYS.replace(distance=100.0), QND(mu_prime=300.0, k=310.0)).rate
+        assert float(published["rate"]) == at_100km
+
     def test_kmin_monotone_column(self, tmp_path):
         out = tmp_path / "kmin.csv"
         code = main(["kmin", "--distances", "1,70,140", "--tol", "1.0",
@@ -240,6 +290,8 @@ class TestSweepAndKmin:
         (["sweep", "--recipe", "fig2", "--mu-prime-values", "0,20"], "--mu-prime-values"),
         (["sweep", "--recipe", "fig2", "--eta-e", "0.1"], "--eta-e"),
         (["kmin", "--recipe", "fig4", "--distances", "5"], "--distances"),
+        (["sweep", "--k-values", "10,2000"], "--k-values"),
+        (["sweep", "--k-values", ""], "--k-values"),
     ])
     def test_bad_search_argument_names_the_flag(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "out.csv"

@@ -14,12 +14,12 @@ from decoy_fsa.decoy import (
     key_rate,
     q1_expansion,
     q1_lower,
-    y1_lower,
 )
 from decoy_fsa.model import GYS, channel_transmittance
 from decoy_fsa.observables import (
     Baseline,
     Observables,
+    PNRD,
     QND,
     observables_baseline,
     observables_for,
@@ -68,7 +68,7 @@ class TestY1Lower:
     def test_all_zero_observables(self):
         params = GYS.replace(dark_count=0.0)
         obs = obs_with(1e-300, 1e-300, 0.0, 0.0)  # vanishing gains, no darks
-        assert y1_lower(obs, params) == pytest.approx(0.0, abs=1e-12)
+        assert decoy_bounds(obs, params).y1_lower == pytest.approx(0.0, abs=1e-12)
 
     def test_baseline_matches_brute_force_yield(self):
         # Independent model: in a linear channel Y1 = eta + d - eta*d; the
@@ -77,20 +77,20 @@ class TestY1Lower:
             params = GYS.replace(distance=distance)
             eta = channel_transmittance(params.alpha, distance) * params.eta_bob
             truth = eta + params.dark_count - eta * params.dark_count
-            bound = y1_lower(observables_baseline(params), params)
+            bound = decoy_bounds(observables_baseline(params), params).y1_lower
             assert bound <= truth * (1.0 + 1e-9)
             assert bound == pytest.approx(truth, rel=0.05)
 
     def test_baseline_frozen_point(self):
         params = GYS.replace(distance=100.0)
-        assert y1_lower(observables_baseline(params), params) == pytest.approx(
+        assert decoy_bounds(observables_baseline(params), params).y1_lower == pytest.approx(
             BASE_Y1_100, rel=1e-9
         )
 
     def test_attack_frozen_point(self):
         params = GYS.replace(distance=100.0)
         obs = observables_for(params, QND(mu_prime=300.0, k=310.0))
-        assert y1_lower(obs, params) == pytest.approx(QND_Y1, rel=1e-9)
+        assert decoy_bounds(obs, params).y1_lower == pytest.approx(QND_Y1, rel=1e-9)
 
     def test_attack_estimate_recovers_arrival_probability(self):
         # Under the resend attack all detections are single-photon sourced, so
@@ -103,7 +103,7 @@ class TestY1Lower:
         obs = observables_for(params, QND(mu_prime=300.0, k=310.0))
         eff = efficiency_matrix(params, 310.0)
         arrive = p_arrive(FakedStateIntensities.symmetric(300.0), eff, params.dark_count)
-        assert y1_lower(obs, params) == pytest.approx(arrive, rel=1e-4)
+        assert decoy_bounds(obs, params).y1_lower == pytest.approx(arrive, rel=1e-4)
 
     def test_clamping_flagged(self):
         params = GYS.replace(distance=100.0)
@@ -114,8 +114,8 @@ class TestY1Lower:
         assert bounds.y1_clamped
         assert bounds.e1_unbounded
         # No physical GYS point fires these flags, so the report reads them here.
-        report = RateReport(distance=params.distance, strategy=Baseline(), observables=obs,
-                            bounds=bounds, rate=key_rate(obs, bounds, params))
+        report = RateReport(observables=obs, bounds=bounds,
+                            rate=key_rate(obs, bounds, params), r_absolute=math.nan)
         assert report.flags == ("clamped_y1", "unbounded_e1")
 
 
@@ -128,7 +128,7 @@ class TestQ1Lower:
 
     def test_roundtrip_identity(self):
         params = GYS.replace(distance=100.0)
-        y1 = y1_lower(observables_baseline(params), params)
+        y1 = decoy_bounds(observables_baseline(params), params).y1_lower
         assert q1_lower(y1, params.mu) / (params.mu * math.exp(-params.mu)) == pytest.approx(
             y1, rel=1e-12
         )
@@ -153,7 +153,7 @@ class TestE1Upper:
     def test_attack_frozen_point(self):
         params = GYS.replace(distance=100.0)
         obs = observables_for(params, QND(mu_prime=300.0, k=310.0))
-        y1 = y1_lower(obs, params)
+        y1 = decoy_bounds(obs, params).y1_lower
         assert e1_upper(obs, y1, params) == pytest.approx(QND_E1, rel=1e-9)
 
 
@@ -182,6 +182,13 @@ class TestKeyRate:
             QND_RATE, rel=1e-9
         )
         assert evaluate(params, Baseline()).rate == pytest.approx(BASE_RATE_100, rel=1e-9)
+
+    def test_r_absolute_only_for_pnrd(self):
+        params = GYS.replace(distance=100.0)
+        assert math.isnan(evaluate(params, Baseline()).r_absolute)
+        assert math.isnan(evaluate(params, QND(mu_prime=300.0, k=310.0)).r_absolute)
+        pnrd = evaluate(params, PNRD(mu_prime=900.0, k=1000.0, eta_e=0.1))
+        assert math.isfinite(pnrd.r_absolute)
 
     def test_monotone_in_error_bounds(self):
         params = GYS.replace(distance=100.0)

@@ -142,7 +142,7 @@ class TestSystemParams:
 
     def test_config_roundtrip(self, tmp_path):
         path = tmp_path / "params.json"
-        path.write_text(json.dumps({"distance": 42.0, "mu": 0.5}))
+        path.write_text(json.dumps({"distance": 42, "mu": 0.5}))  # a JSON integer loads too
         p = SystemParams.from_config(path)
         assert p.distance == 42.0
         assert p.mu == 0.5
@@ -152,6 +152,13 @@ class TestSystemParams:
         path = tmp_path / "params.json"
         path.write_text(json.dumps({"darkcount": 1e-6}))
         with pytest.raises(ConfigError, match="darkcount"):
+            SystemParams.from_config(path)
+
+    @pytest.mark.parametrize("value", [True, False, "0.4"], ids=["true", "false", "string"])
+    def test_config_value_must_be_a_number(self, tmp_path, value):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"mu": value}))
+        with pytest.raises(ConfigError, match="'mu' must be a number"):
             SystemParams.from_config(path)
 
     def test_config_invalid_value(self, tmp_path):

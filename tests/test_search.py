@@ -9,7 +9,6 @@ from decoy_fsa.model import GYS
 from decoy_fsa.observables import PNRD, QND, Baseline
 from decoy_fsa.search import (
     SCAN_HEADER,
-    SweepGrid,
     best_rate_over_mu_prime,
     distance_scan,
     k_min,
@@ -202,22 +201,11 @@ class TestKminEarlyStop:
 
 
 class TestSweepGrid:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SweepGrid(k_values=(), mu_prime_values=(1.0,))
-        with pytest.raises(ValueError):
-            SweepGrid(k_values=(10.0, 5.0), mu_prime_values=(1.0,))
-        with pytest.raises(ValueError):
-            SweepGrid(k_values=(0.5,), mu_prime_values=(1.0,))
-        with pytest.raises(ValueError):
-            SweepGrid(k_values=(10.0, 2000.0), mu_prime_values=(1.0,))
-
     def test_single_cell_matches_direct_pipeline(self):
         from decoy_fsa.decoy import evaluate
 
         params = GYS.replace(distance=100.0)
-        grid = SweepGrid(k_values=(310.0,), mu_prime_values=(300.0,))
-        rows = sweep_grid(params, grid)
+        rows = sweep_grid(params, (310.0,), (300.0,))
         assert len(rows) == 1
         direct = evaluate(params, QND(mu_prime=300.0, k=310.0)).rate
         assert rows[0].rate == direct
@@ -225,22 +213,21 @@ class TestSweepGrid:
 
     def test_published_tuple_row_positive(self):
         params = GYS.replace(distance=100.0)
-        grid = SweepGrid(k_values=(1.0, 310.0), mu_prime_values=(100.0, 300.0))
-        rows = sweep_grid(params, grid)
+        rows = sweep_grid(params, (1.0, 310.0), (100.0, 300.0))
         by_key = {(r.k, r.mu_prime): r for r in rows}
         assert by_key[(310.0, 300.0)].rate > 0.0
         assert by_key[(310.0, 300.0)].feasible
 
     def test_no_mismatch_rows_all_infeasible(self):
         params = GYS.replace(distance=100.0)
-        grid = SweepGrid(k_values=(1.0,), mu_prime_values=tuple(range(0, 2001, 100)))
-        assert all(not row.feasible for row in sweep_grid(params, grid))
+        rows = sweep_grid(params, (1.0,), tuple(range(0, 2001, 100)))
+        assert all(not row.feasible for row in rows)
 
     def test_row_order_k_major_and_deterministic(self):
         params = GYS.replace(distance=100.0)
-        grid = SweepGrid(k_values=(10.0, 20.0), mu_prime_values=(0.0, 50.0, 100.0))
-        rows_a = sweep_grid(params, grid)
-        rows_b = sweep_grid(params, grid)
+        grid = ((10.0, 20.0), (0.0, 50.0, 100.0))
+        rows_a = sweep_grid(params, *grid)
+        rows_b = sweep_grid(params, *grid)
         assert rows_a == rows_b
         assert [(r.k, r.mu_prime) for r in rows_a] == [
             (10.0, 0.0), (10.0, 50.0), (10.0, 100.0),
