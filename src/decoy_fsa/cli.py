@@ -97,26 +97,30 @@ def _check_reach(params: SystemParams, k: float, distances: Sequence[float], fla
             raise ConfigError(f"{_flags(flags)}: k = {k} at distance {d} km: {exc}") from exc
 
 
-def _build_strategy(
+def _build_strategies(
     args: argparse.Namespace, params: SystemParams, distances: Sequence[float] | None = None
-) -> AttackStrategy:
-    """The strategy the flags name, its --k checked at ``params.distance`` or over a scan."""
-    kind, cls = args.strategy, _STRATEGIES[args.strategy]
-    reads = [f.name for f in dataclasses.fields(cls)]
-    flags = dict.fromkeys(f.name for c in _STRATEGIES.values() for f in dataclasses.fields(c))
-    given = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
-    if unused := [name for name in given if name not in reads]:
-        raise ConfigError(f"strategy {kind!r} does not take {_flags(unused)}")
-    if missing := [name for name in reads if name not in given]:
-        raise ConfigError(f"strategy {kind!r} requires {_flags(missing)}")
-    try:
-        strategy = cls(**given)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if not isinstance(strategy, Baseline):
-        _check_reach(params, strategy.k, distances or (params.distance,),
-                     ("k", "distances" if distances else "distance"))
-    return strategy
+) -> tuple[AttackStrategy, ...]:
+    """The recipe's strategies or the one the flags name, k checked at the distance(s)."""
+    if getattr(args, "recipe", None):
+        strategies, source = args.strategy, "recipe"
+    else:
+        kind, cls = args.strategy, _STRATEGIES[args.strategy]
+        reads = [f.name for f in dataclasses.fields(cls)]
+        flags = dict.fromkeys(f.name for c in _STRATEGIES.values() for f in dataclasses.fields(c))
+        given = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
+        if unused := [name for name in given if name not in reads]:
+            raise ConfigError(f"strategy {kind!r} does not take {_flags(unused)}")
+        if missing := [name for name in reads if name not in given]:
+            raise ConfigError(f"strategy {kind!r} requires {_flags(missing)}")
+        try:
+            strategies, source = (cls(**given),), "k"
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    for strategy in strategies:
+        if not isinstance(strategy, Baseline):
+            _check_reach(params, strategy.k, distances or (params.distance,),
+                         (source, "config", "distances" if distances else "distance"))
+    return strategies
 
 
 # Per command, the flags a --recipe sets: the None entry holds their values
@@ -218,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_rate(args: argparse.Namespace) -> int:
     params = _load_params(args)
-    strategy = _build_strategy(args, params)
+    [strategy] = _build_strategies(args, params)
     row = search.scan_row_for(params, strategy)
     for name, value in zip(search.SCAN_HEADER, row):
         print(f"{name} = {value}")
@@ -230,10 +234,8 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     params = _load_params(args)
     distances = _parse_values(args.distances, "--distances")
-    strategies = args.strategy if args.recipe else (_build_strategy(args, params, distances),)
-    rows = []
-    for strategy in strategies:
-        rows.extend(search.distance_scan(params, strategy, distances))
+    strategies = _build_strategies(args, params, distances)
+    rows = [row for s in strategies for row in search.distance_scan(params, s, distances)]
     out = args.out or f"scan_{args.recipe or strategy_label(strategies[0])}.csv"
     search.write_csv(out, search.SCAN_HEADER, rows)
     print(f"wrote {len(rows)} rows to {out}")
@@ -289,7 +291,7 @@ def _analytic_quantities(params: SystemParams, strategy: AttackStrategy) -> dict
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     params = _load_params(args)
-    strategy = _build_strategy(args, params)
+    [strategy] = _build_strategies(args, params)
     if args.n_pulses < 1:
         raise ConfigError(f"--n-pulses must be >= 1, got {args.n_pulses}")
     if args.seed < 0:

@@ -87,13 +87,15 @@ class SystemParams:
                 raise ConfigError(f"unknown parameter key: {key!r}")
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"parameter {key!r} must be a number, got {value!r}")
+            if isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise ConfigError(f"{key} must be finite, got an integer beyond the float range")
         return cls(**{k: float(v) for k, v in data.items()})
 
     @classmethod
     def from_config(cls, path: str | Path) -> "SystemParams":
-        """Load params from a flat JSON file (keys exactly the field names)."""
+        """Load params from a flat JSON file (keys exactly the field names, integers as floats)."""
         try:
-            data = json.loads(Path(path).read_text())
+            data = json.loads(Path(path).read_text(), parse_int=float)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read parameter file {path}: {exc}") from exc
         if not isinstance(data, dict):

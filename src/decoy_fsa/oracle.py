@@ -4,11 +4,11 @@ This is the brute-force cross-check for every closed-form probability in the
 package, so no draw is computed from a closed form.  Every pulse is simulated
 mechanistically, in as much detail as the tallies read:
 
-* Source: a Poisson photon number per pulse.
-* Gate: the eavesdropper attacks the pulses whose photon count, thinned by a
-  per-pulse binomial draw at her detector efficiency eta_e, is one.  At
-  eta_e = 1 (the ideal QND strategy) the count is the photon number itself and
-  nothing is drawn.
+* Source: per shard and stream, a Poisson(intensity*m) photon total, each photon
+  at a uniform pulse index: by Poisson splitting, iid Poisson counts per pulse.
+* Gate: each photon passes the eavesdropper's detector if its uniform u < eta_e
+  (nothing is drawn at eta_e = 1, the ideal QND strategy), and she attacks the
+  pulses left with exactly one photon.
 * Blocked pulses reach Bob as a bare dark-count opportunity with probability d
   per gate: their click count is one Binomial(blocked, d) draw, and each click
   gets a random bit and a random Alice bit.
@@ -19,7 +19,7 @@ mechanistically, in as much detail as the tallies read:
 * Bob's intrinsic detector error flips the bit of each resent click with
   probability e_detector, drawn as one binomial count over the wrong and one
   over the right bits; the users' error tallies carry the flipped bits.
-* Baseline: each non-vacuum pulse is thinned by a binomial draw at t_AB*eta_bob;
+* Baseline: a pulse is lit if one of its photons passes u < t_AB*eta_bob;
   the unlit pulses, the errors of light (e_detector) and dark (1/2) clicks and
   detector 1's share of clicks (1/2) are then each one binomial count.
 
@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from math import exp
 from typing import Mapping
 
 import numpy as np
@@ -187,20 +186,26 @@ def _resend_click_tables(strategy: QND | PNRD, params: SystemParams):
     mu0 = mu1 = strategy.mu_prime
     light = np.array([
         [
-            1.0 - exp(-0.5 * mu0 * eff.eta_00),   # mismatch, result 0
-            1.0 - exp(-0.5 * mu1 * eff.eta_01),   # mismatch, result 1
-            0.0,                                  # match, result 0: bit-1 state
-            1.0 - exp(-mu1 * eff.eta_01),         # match, result 1: full arm
+            1.0 - math.exp(-0.5 * mu0 * eff.eta_00),   # mismatch, result 0
+            1.0 - math.exp(-0.5 * mu1 * eff.eta_01),   # mismatch, result 1
+            0.0,                                       # match, result 0: bit-1 state
+            1.0 - math.exp(-mu1 * eff.eta_01),         # match, result 1: full arm
         ],
         [
-            1.0 - exp(-0.5 * mu0 * eff.eta_10),
-            1.0 - exp(-0.5 * mu1 * eff.eta_11),
-            1.0 - exp(-mu0 * eff.eta_10),
+            1.0 - math.exp(-0.5 * mu0 * eff.eta_10),
+            1.0 - math.exp(-0.5 * mu1 * eff.eta_11),
+            1.0 - math.exp(-mu0 * eff.eta_10),
             0.0,
         ],
     ])
     click = light + (1.0 - light) * params.dark_count
     return light, click
+
+
+def draw_photons(rng: np.random.Generator, mean: float, m: int, keep: float = 1.0) -> np.ndarray:
+    """Pulse index (int64) of each of Poisson(mean*m) photons on m pulses, kept if u < ``keep``."""
+    photons = rng.integers(0, m, size=rng.poisson(mean * m), dtype=np.int64)
+    return photons if keep >= 1.0 else photons[rng.random(photons.size) < keep]
 
 
 def _simulate_attack_shard(
@@ -214,12 +219,8 @@ def _simulate_attack_shard(
     light: np.ndarray,
     click: np.ndarray,
 ) -> None:
-    photons = rng.poisson(intensity, size=m)
-    if strategy.eta_e < 1.0:
-        # Binomial(0, p) consumes no random numbers, so only the non-vacuum
-        # pulses need a gate draw.
-        photons = rng.binomial(photons[photons > 0], strategy.eta_e)
-    ka = int(np.count_nonzero(photons == 1))
+    photons = draw_photons(rng, intensity, m, strategy.eta_e)
+    ka = int(np.count_nonzero(np.bincount(photons, minlength=m) == 1))
     kb = m - ka
 
     # Blocked pulses: a single dark-count opportunity, random bit on click.
@@ -295,10 +296,7 @@ def _simulate_baseline_shard(
     tally: dict[str, int],
 ) -> None:
     eta = channel_transmittance(params.alpha, params.distance) * params.eta_bob
-
-    photons = rng.poisson(intensity, size=m)
-    # Binomial(0, p) consumes no random numbers: only non-vacuum pulses are thinned.
-    n_light = int(np.count_nonzero(rng.binomial(photons[photons > 0], eta)))
+    n_light = int(np.count_nonzero(np.bincount(draw_photons(rng, intensity, m, eta))))
     n_dark = int(rng.binomial(m - n_light, params.dark_count))
     n_clicked = n_light + n_dark
     # A light click errs with probability e_detector; a dark click's bit is a coin.
@@ -334,18 +332,16 @@ def simulate_pulses(
     resend = {name: [0, 0] for name in _RESEND_ESTIMATES}
     n_shards = (n_pulses + shard_size - 1) // shard_size
     children = np.random.SeedSequence(seed).spawn(n_shards)
-    attack = not isinstance(strategy, Baseline)
-    if attack:
-        light, click = _resend_click_tables(strategy, params)
+    tables = None if isinstance(strategy, Baseline) else _resend_click_tables(strategy, params)
     for index in range(n_shards):
         rng = np.random.default_rng(children[index])
         m = min(shard_size, n_pulses - index * shard_size)
         for stream, intensity in zip(_STREAMS, (params.mu, params.nu)):
-            if attack:
-                _simulate_attack_shard(rng, params, strategy, intensity, m, tallies[stream],
-                                       resend, light, click)
-            else:
+            if tables is None:
                 _simulate_baseline_shard(rng, params, intensity, m, tallies[stream])
+            else:
+                _simulate_attack_shard(rng, params, strategy, intensity, m, tallies[stream],
+                                       resend, *tables)
 
     signal, decoy = tallies["signal"], tallies["decoy"]
     return EmpiricalObservables(

@@ -182,6 +182,23 @@ class TestRate:
         assert flag in err and "distance 15000.0 km" in err and "smallest normal float" in err
         assert not out.exists()
 
+    def test_recipe_strategy_beyond_reach_names_the_flags(self, tmp_path, capsys):
+        # At 100 dB/km eta_01 underflows to zero by fig7's last distance; a
+        # recipe's strategies are checked like a flag-given one.
+        config, out = tmp_path / "lossy.json", tmp_path / "out.csv"
+        config.write_text(json.dumps({"alpha": 100}))
+        assert main(["scan", "--recipe", "fig7", "--config", str(config),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--config" in err and "--distances" in err and "distance 180.0 km" in err
+        assert not out.exists()
+
+    def test_config_int_beyond_float_range_names_the_key(self, tmp_path, capsys):
+        config = tmp_path / "huge.json"
+        config.write_text('{"distance": 1' + "0" * 400 + "}")
+        assert main(["rate", "--config", str(config)]) == EXIT_CONFIG
+        assert "distance must be finite" in capsys.readouterr().err
+
 
 class TestScanRecipes:
     def test_fig3_two_curves_with_sign_changes(self, tmp_path, capsys):

@@ -161,6 +161,21 @@ class TestSystemParams:
         with pytest.raises(ConfigError, match="'mu' must be a number"):
             SystemParams.from_config(path)
 
+    @pytest.mark.parametrize("text", ["1" + "0" * 400, "-1" + "0" * 5000],
+                             ids=["huge-int", "int-past-digit-limit"])
+    def test_config_value_beyond_float_range_named(self, tmp_path, text):
+        # An integer past the largest float, or past Python's 4300-digit
+        # int parsing limit, is a bad value of its key, not an unreadable file.
+        path = tmp_path / "params.json"
+        path.write_text('{"distance": %s}' % text)
+        with pytest.raises(ConfigError, match="distance must be finite"):
+            SystemParams.from_config(path)
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["positive", "negative"])
+    def test_int_beyond_float_range_named(self, value):
+        with pytest.raises(ConfigError, match="distance must be finite"):
+            SystemParams.from_dict({"distance": value})
+
     def test_config_invalid_value(self, tmp_path):
         path = tmp_path / "params.json"
         path.write_text(json.dumps({"eta_bob": 2.0}))

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 from decoy_fsa.faked_states import FakedStateIntensities, p_arrive, p_click_det0, p_click_det1, p_error
 from decoy_fsa.model import GYS, efficiency_matrix
 from decoy_fsa.observables import Baseline, PNRD, QND, observables_for
-from decoy_fsa.oracle import binomial_verdict, simulate_pulses
+from decoy_fsa.oracle import binomial_verdict, draw_photons, simulate_pulses
 from decoy_fsa.security import table1_probs
+from reference import poisson_pmf
 
 
 def _sigma(p: float, trials: int) -> float:
@@ -175,6 +177,21 @@ class TestEstimateTable:
         assert not hasattr(run, "q_lambda_se")
 
 
+class TestPhotonSource:
+    def test_photon_numbers_per_pulse_are_poisson(self):
+        # The photons spread over the pulses must give each pulse a Poisson
+        # photon number, checked over 20 shards of 1e6 pulses.
+        mu, m, shards = 0.48, 1_000_000, 20
+        rng = np.random.default_rng(20240901)
+        histogram = np.zeros(5, dtype=np.int64)
+        for _ in range(shards):
+            photons = draw_photons(rng, mu, m)
+            assert photons.dtype == np.int64
+            histogram += np.bincount(np.bincount(photons, minlength=m), minlength=5)[:5]
+        for n, count in enumerate(histogram):
+            assert_within_3sigma(count / (shards * m), poisson_pmf(mu, n), shards * m, f"n={n}")
+
+
 class TestClosedFormAgreement:
     def test_qnd_point_at_ten_million_pulses(self):
         params = GYS.replace(distance=100.0)
@@ -206,6 +223,14 @@ class TestClosedFormAgreement:
             params.mu * 0.1 * math.exp(-params.mu * 0.1)
             + params.nu * 0.1 * math.exp(-params.nu * 0.1)
         ) / 2.0
+        assert_within_3sigma(run.n_resend / (2 * run.n_pulses), expected,
+                             2 * run.n_pulses, "gating fraction")
+
+    def test_qnd_gating_fraction(self):
+        # The fraction of resent pulses must match mu*exp(-mu): one photon exactly.
+        params = GYS.replace(distance=100.0)
+        run = simulate_pulses(params, QND(mu_prime=300.0, k=310.0), 2_000_000, seed=77)
+        expected = (params.mu * math.exp(-params.mu) + params.nu * math.exp(-params.nu)) / 2.0
         assert_within_3sigma(run.n_resend / (2 * run.n_pulses), expected,
                              2 * run.n_pulses, "gating fraction")
 
