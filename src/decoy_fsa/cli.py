@@ -38,6 +38,9 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 
+# Most points a 'start:stop:step' spec may expand to; the recipes use at most 101.
+_MAX_GRID_POINTS = 1_000_000
+
 
 def _parse_values(text: str, name: str) -> tuple[float, ...]:
     """Parse 'start:stop:step' (inclusive of stop when it lands on-grid) or 'a,b,c'."""
@@ -50,8 +53,10 @@ def _parse_values(text: str, name: str) -> tuple[float, ...]:
         start, stop, step = parts
         if step <= 0 or stop < start:
             raise ValueError("need start <= stop and step > 0")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(start + i * step for i in range(count))
+        steps = (stop - start) / step + 1e-9
+        if not steps < _MAX_GRID_POINTS:
+            raise ValueError(f"more than {_MAX_GRID_POINTS} points")
+        return tuple(start + i * step for i in range(int(steps) + 1))
     except ValueError as exc:
         raise ConfigError(f"invalid {name} specification {text!r}: {exc}") from exc
 
@@ -61,6 +66,12 @@ def _grid_values(text: str, name: str, lo: float, hi: float) -> tuple[float, ...
     if any(b <= a for a, b in zip(values, values[1:])) or not all(lo <= v <= hi for v in values):
         raise ConfigError(f"{name} must be strictly increasing within [{lo}, {hi}], got {text!r}")
     return values
+
+
+def _distances(text: str) -> tuple[float, ...]:
+    if min(distances := _parse_values(text, "--distances")) < 0.0:
+        raise ConfigError(f"--distances must be non-negative, got {text!r}")
+    return distances
 
 
 def _search_eta_e(args: argparse.Namespace) -> float | None:
@@ -87,8 +98,8 @@ _STRATEGIES = {"baseline": Baseline, "qnd": QND, "pnrd": PNRD}
 def _check_reach(params: SystemParams, k: float, distances: Sequence[float], flags) -> None:
     """Reject a mismatch ratio the efficiency geometry cannot hold over the distances.
 
-    k*eta_01 <= 1 binds at the shortest distance and the normal-float floor
-    of eta_01 at the longest, so only those two are checked.
+    k*blind <= 1 binds at the shortest distance and the normal-float floor
+    of the blind efficiency at the longest, so only those two are checked.
     """
     for d in sorted({min(distances), max(distances)}):
         try:
@@ -233,7 +244,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     params = _load_params(args)
-    distances = _parse_values(args.distances, "--distances")
+    distances = _distances(args.distances)
     strategies = _build_strategies(args, params, distances)
     rows = [row for s in strategies for row in search.distance_scan(params, s, distances)]
     out = args.out or f"scan_{args.recipe or strategy_label(strategies[0])}.csv"
@@ -260,7 +271,7 @@ def _cmd_kmin(args: argparse.Namespace) -> int:
     eta_e = _search_eta_e(args)
     if not 0.0 < args.tol < math.inf:
         raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
-    distances = _parse_values(args.distances, "--distances")
+    distances = _distances(args.distances)
     _check_reach(params, search.K_MAX, distances, ("distances",))
     rows = [search.k_min(params, distance, tol=args.tol, eta_e=eta_e) for distance in distances]
     out = args.out or f"kmin_{args.recipe or 'scan'}.csv"

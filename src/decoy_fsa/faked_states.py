@@ -1,13 +1,14 @@
 """Closed-form detection and error probabilities of resent faked states.
 
 The eavesdropper intercepts with a random basis and resends the opposite bit in
-the opposite basis as a weak coherent pulse: intensity mu_0 at timing t0 when
-her result was 0, intensity mu_1 at timing t1 when it was 1.  Bob's receiver
-draws a uniform basis; a basis-matched faked state lands with full amplitude on
-the opposite-bit detector (blinded at that timing), while a mismatched one
-splits half/half across both detectors.  Each detector additionally fires a
-dark count with probability d per gate.  Averaging the four equally likely
-(result, basis) cases yields the four closed forms below.
+the opposite basis as a weak coherent pulse of intensity mu_prime, at timing t0
+when her result was 0 and t1 when it was 1.  Bob's receiver draws a uniform
+basis; a basis-matched faked state lands with full amplitude on the
+opposite-bit detector (blinded at that timing), while a mismatched one splits
+half/half across both detectors.  Each detector additionally fires a dark
+count with probability d per gate.  Averaging the four equally likely
+(result, basis) cases yields the closed forms below; the geometry is
+mirror-symmetric, so both detectors click alike.
 """
 
 from __future__ import annotations
@@ -20,58 +21,52 @@ from .model import EfficiencyMatrix
 
 @dataclass(frozen=True)
 class FakedStateIntensities:
-    """Mean photon numbers of the faked states resent at timings t0 and t1."""
+    """Mean photon number mu_prime of the faked states resent at either timing."""
 
-    mu_0: float
-    mu_1: float
+    mu_prime: float
 
     def __post_init__(self) -> None:
-        if self.mu_0 < 0.0 or self.mu_1 < 0.0:
-            raise ValueError(
-                f"faked-state intensities must be non-negative, got "
-                f"({self.mu_0}, {self.mu_1})"
-            )
+        if self.mu_prime < 0.0:
+            raise ValueError(f"faked-state intensity must be non-negative, got {self.mu_prime}")
 
     @classmethod
     def symmetric(cls, mu_prime: float) -> "FakedStateIntensities":
-        """Equal-intensity choice mu_0 = mu_1 = mu_prime that balances the two detectors."""
-        return cls(mu_prime, mu_prime)
+        """The one intensity mu_prime resent at both timings."""
+        return cls(mu_prime)
+
+
+def _no_light(fs: FakedStateIntensities, eff: EfficiencyMatrix) -> tuple[float, ...]:
+    """Chances of no light at a detector: at half amplitude and the matched or the blind
+    efficiency, at full amplitude and the blind one, and at both detectors of a split resend."""
+    mu = fs.mu_prime
+    return (
+        exp(-0.5 * mu * eff.matched),
+        exp(-0.5 * mu * eff.blind),
+        exp(-mu * eff.blind),
+        exp(-0.5 * mu * eff.matched - 0.5 * mu * eff.blind),
+    )
 
 
 def p_click_det0(fs: FakedStateIntensities, eff: EfficiencyMatrix, d: float) -> float:
     """Probability that Bob's detector 0 clicks on a resent faked state."""
-    return 0.75 + 0.25 * d - 0.25 * (1.0 - d) * (
-        exp(-0.5 * fs.mu_0 * eff.eta_00)
-        + exp(-0.5 * fs.mu_1 * eff.eta_01)
-        + exp(-fs.mu_1 * eff.eta_01)
-    )
+    half_matched, half_blind, full_blind, _ = _no_light(fs, eff)
+    return 0.75 + 0.25 * d - 0.25 * (1.0 - d) * (half_matched + half_blind + full_blind)
 
 
 def p_click_det1(fs: FakedStateIntensities, eff: EfficiencyMatrix, d: float) -> float:
-    """Probability that Bob's detector 1 clicks on a resent faked state.
-
-    The full-amplitude exponent is mu_0*eta_10 (the t0 resend seen by detector
-    1), keeping this click probability consistent with p_arrive and p_error;
-    with mu_0 == mu_1 the distinction is invisible anyway.
-    """
-    return 0.75 + 0.25 * d - 0.25 * (1.0 - d) * (
-        exp(-0.5 * fs.mu_0 * eff.eta_10)
-        + exp(-0.5 * fs.mu_1 * eff.eta_11)
-        + exp(-fs.mu_0 * eff.eta_10)
-    )
+    """Probability that Bob's detector 1 clicks; the mirror symmetry makes it detector 0's."""
+    return p_click_det0(fs, eff, d)
 
 
 def p_arrive(fs: FakedStateIntensities, eff: EfficiencyMatrix, d: float) -> float:
     """Total probability that a resent faked state produces any click at Bob."""
-    full_arm = exp(-fs.mu_1 * eff.eta_01) + exp(-fs.mu_0 * eff.eta_10)
-    split_arm = exp(-0.5 * fs.mu_0 * eff.eta_00 - 0.5 * fs.mu_0 * eff.eta_10) + exp(
-        -0.5 * fs.mu_1 * eff.eta_01 - 0.5 * fs.mu_1 * eff.eta_11
-    )
+    _, _, full_blind, split = _no_light(fs, eff)
+    full_arm = full_blind + full_blind
     return (
         1.0
         - 0.25 * (1.0 - d) * full_arm
         + 0.25 * d * (1.0 - d) * full_arm
-        - 0.25 * (1.0 - d) ** 2 * split_arm
+        - 0.25 * (1.0 - d) ** 2 * (split + split)
     )
 
 
@@ -80,20 +75,12 @@ def p_error(fs: FakedStateIntensities, eff: EfficiencyMatrix, d: float) -> float
 
     Double clicks resolve to a random bit and therefore carry half weight.
     """
-    full_arm = exp(-fs.mu_1 * eff.eta_01) + exp(-fs.mu_0 * eff.eta_10)
-    split_arm = exp(-0.5 * fs.mu_0 * eff.eta_00 - 0.5 * fs.mu_0 * eff.eta_10) + exp(
-        -0.5 * fs.mu_1 * eff.eta_01 - 0.5 * fs.mu_1 * eff.eta_11
-    )
+    half_matched, half_blind, full_blind, split = _no_light(fs, eff)
     return (
         0.125 * (1.0 - d) * (
-            exp(-0.5 * fs.mu_0 * eff.eta_00)
-            + exp(-0.5 * fs.mu_1 * eff.eta_11)
-            - exp(-0.5 * fs.mu_0 * eff.eta_10)
-            - exp(-0.5 * fs.mu_1 * eff.eta_01)
-            - exp(-fs.mu_1 * eff.eta_01)
-            - exp(-fs.mu_0 * eff.eta_10)
+            half_matched + half_matched - half_blind - half_blind - full_blind - full_blind
         )
-        - 0.125 * (1.0 - d) ** 2 * split_arm
-        + 0.125 * d * (1.0 - d) * full_arm
+        - 0.125 * (1.0 - d) ** 2 * (split + split)
+        + 0.125 * d * (1.0 - d) * (full_blind + full_blind)
         + 0.5
     )

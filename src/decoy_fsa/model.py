@@ -3,9 +3,9 @@
 Everything downstream (attack observables, decoy bounds, key rates, the Monte
 Carlo validator) is driven by two inputs defined here: a :class:`SystemParams`
 record holding the link constants, and the :class:`EfficiencyMatrix` that
-:func:`efficiency_matrix` builds from them and a mismatch ratio k: the four
-equivalent transmission-and-detection efficiencies seen by a faked state
-arriving at detector ``m`` (bit value 0/1) at timing ``t_n``.
+:func:`efficiency_matrix` builds from them and a mismatch ratio k: the two
+equivalent transmission-and-detection efficiencies a faked state meets, at a
+detector whose timing it matches and at one blinded at its timing.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 # Suppression of the blinded detector relative to the nominal Bob-side path:
-# eta_01 = t_AB * eta_bob * BLIND_FLOOR.
+# the blind efficiency is t_AB * eta_bob * BLIND_FLOOR.
 BLIND_FLOOR = 1e-4
 
 
@@ -115,17 +115,16 @@ GYS = SystemParams()
 
 @dataclass(frozen=True)
 class EfficiencyMatrix:
-    """The four equivalent efficiencies eta_mn (detector m, faked-state timing t_n).
+    """The two equivalent efficiencies of the mirror-symmetric mismatch geometry.
 
-    The geometry is symmetric: the timing-matched pairs eta_00 and eta_11 are
-    equal and exceed the blinded pairs eta_01 = eta_10 by the mismatch ratio k.
-    Build it with :func:`efficiency_matrix`.
+    ``matched``: a detector seeing a faked state at the timing it is sensitive
+    to; ``blind``: a detector seeing one at the timing it is blinded at.  Both
+    detectors share the two values, and matched = k * blind for mismatch
+    ratio k.  Build it with :func:`efficiency_matrix`.
     """
 
-    eta_00: float
-    eta_01: float
-    eta_10: float
-    eta_11: float
+    matched: float
+    blind: float
 
 
 def channel_transmittance(alpha: float, distance: float) -> float:
@@ -140,8 +139,8 @@ def channel_transmittance(alpha: float, distance: float) -> float:
 def efficiency_matrix(params: SystemParams, k: float) -> EfficiencyMatrix:
     """Efficiency matrix for mismatch ratio ``k`` at the distance stored in ``params``.
 
-    The blinded entries sit at the floor t_AB*eta_bob*BLIND_FLOOR; the
-    timing-matched entries are k times larger.  The floor must be a normal
+    The blind efficiency sits at the floor t_AB*eta_bob*BLIND_FLOOR; the
+    matched one is k times larger.  The floor must be a normal
     float, so that k*floor keeps the ratio k to full precision; on the GYS
     link that holds up to about 14,395 km.
     """
@@ -150,8 +149,8 @@ def efficiency_matrix(params: SystemParams, k: float) -> EfficiencyMatrix:
     t_ab = channel_transmittance(params.alpha, params.distance)
     eta_blind = t_ab * params.eta_bob * BLIND_FLOOR
     if not eta_blind >= sys.float_info.min:
-        raise ValueError(f"eta_01 = {eta_blind} is below the smallest normal float")
+        raise ValueError(f"blind efficiency {eta_blind} is below the smallest normal float")
     eta_matched = k * eta_blind
     if eta_matched > 1.0:
-        raise ValueError(f"k*eta_01 = {eta_matched} exceeds 1 (unphysical efficiency)")
-    return EfficiencyMatrix(eta_matched, eta_blind, eta_blind, eta_matched)
+        raise ValueError(f"k*blind = {eta_matched} exceeds 1 (unphysical efficiency)")
+    return EfficiencyMatrix(eta_matched, eta_blind)

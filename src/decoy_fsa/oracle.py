@@ -177,24 +177,25 @@ def _resend_click_tables(strategy: QND | PNRD, params: SystemParams):
 
     Case index is 2*bob_matches + result; a basis-matched faked state puts all
     its amplitude on the opposite-bit detector, a mismatched one splits in half.
-    Row 0 is detector 0, row 1 detector 1.  A detector sees light with
-    probability q and, independently, a dark count with probability d, so it
-    clicks with probability q + (1 - q)*d; one uniform u per detector decides
-    light (u < q), dark only (q <= u < q + (1 - q)*d) or nothing.
+    Row m is detector m, which meets a timing-t_m resend at ``eff.matched`` and
+    the other at ``eff.blind``.  It sees light with probability q and,
+    independently, a dark count with probability d, so it clicks with
+    probability q + (1 - q)*d; one uniform u per detector decides light
+    (u < q), dark only (q <= u < q + (1 - q)*d) or nothing.
     """
     eff = efficiency_matrix(params, strategy.k)
-    mu0 = mu1 = strategy.mu_prime
+    mu = strategy.mu_prime
     light = np.array([
         [
-            1.0 - math.exp(-0.5 * mu0 * eff.eta_00),   # mismatch, result 0
-            1.0 - math.exp(-0.5 * mu1 * eff.eta_01),   # mismatch, result 1
+            1.0 - math.exp(-0.5 * mu * eff.matched),   # mismatch, result 0: t0 state
+            1.0 - math.exp(-0.5 * mu * eff.blind),     # mismatch, result 1: t1 state
             0.0,                                       # match, result 0: bit-1 state
-            1.0 - math.exp(-mu1 * eff.eta_01),         # match, result 1: full arm
+            1.0 - math.exp(-mu * eff.blind),           # match, result 1: full arm
         ],
         [
-            1.0 - math.exp(-0.5 * mu0 * eff.eta_10),
-            1.0 - math.exp(-0.5 * mu1 * eff.eta_11),
-            1.0 - math.exp(-mu0 * eff.eta_10),
+            1.0 - math.exp(-0.5 * mu * eff.blind),
+            1.0 - math.exp(-0.5 * mu * eff.matched),
+            1.0 - math.exp(-mu * eff.blind),
             0.0,
         ],
     ])

@@ -22,10 +22,11 @@ class Table1Probs:
     """Bob's nonzero outcome probabilities for the two resend cases, dark counts ignored.
 
     ``r1``: Alice sent Z, the eavesdropper measured 0 in X and resent
-    (Z, bit 1, mu_0, t0), and detector 1 clicks.  ``s0``: she measured 1 and
-    resent (Z, bit 0, mu_1, t1), and detector 0 clicks.  In both cases the
-    resent state addresses a single detector, so the other outcome (r0, s1)
-    is exactly zero and so is the double-click probability.
+    (Z, bit 1, mu_prime, t0), and detector 1 clicks.  ``s0``: she measured 1
+    and resent (Z, bit 0, mu_prime, t1), and detector 0 clicks.  In both cases
+    the resent state reaches a single detector, at full amplitude and at its
+    blind timing, so r1 = s0; the other outcome (r0, s1) is exactly zero and
+    so is the double-click probability.
     """
 
     r1: float
@@ -34,10 +35,8 @@ class Table1Probs:
 
 def table1_probs(fs: FakedStateIntensities, eff: EfficiencyMatrix) -> Table1Probs:
     """Outcome probabilities of the basis-mismatch resend cases."""
-    return Table1Probs(
-        r1=1.0 - exp(-fs.mu_0 * eff.eta_10),
-        s0=1.0 - exp(-fs.mu_1 * eff.eta_01),
-    )
+    blind_arm = 1.0 - exp(-fs.mu_prime * eff.blind)
+    return Table1Probs(r1=blind_arm, s0=blind_arm)
 
 
 def r_absolute_for(params: SystemParams, strategy: PNRD | QND) -> float:

@@ -175,7 +175,7 @@ class TestRate:
     def test_blinded_efficiency_below_float_floor_names_the_flag(
         self, tmp_path, capsys, argv, flag
     ):
-        # At 15,000 km eta_01 is subnormal; the longest distance is checked.
+        # At 15,000 km the blind efficiency is subnormal; the longest distance is checked.
         out = tmp_path / "out.csv"
         assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -183,8 +183,8 @@ class TestRate:
         assert not out.exists()
 
     def test_recipe_strategy_beyond_reach_names_the_flags(self, tmp_path, capsys):
-        # At 100 dB/km eta_01 underflows to zero by fig7's last distance; a
-        # recipe's strategies are checked like a flag-given one.
+        # At 100 dB/km the blind efficiency underflows to zero by fig7's last
+        # distance; a recipe's strategies are checked like a flag-given one.
         config, out = tmp_path / "lossy.json", tmp_path / "out.csv"
         config.write_text(json.dumps({"alpha": 100}))
         assert main(["scan", "--recipe", "fig7", "--config", str(config),
@@ -309,6 +309,13 @@ class TestSweepAndKmin:
         (["kmin", "--recipe", "fig4", "--distances", "5"], "--distances"),
         (["sweep", "--k-values", "10,2000"], "--k-values"),
         (["sweep", "--k-values", ""], "--k-values"),
+        # a grid of unbounded or over-large point count is rejected before expansion
+        (["scan", "--distances", "0:1e308:1e-308"], "--distances"),
+        (["sweep", "--k-values", "1:1000:1e-320"], "--k-values"),
+        (["scan", "--distances", "0:10:1e-10"], "--distances"),
+        # a negative distance is rejected for every strategy
+        (["scan", "--distances=-5,10"], "--distances"),
+        (["kmin", "--distances=-5,10"], "--distances"),
     ])
     def test_bad_search_argument_names_the_flag(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "out.csv"

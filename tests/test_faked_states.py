@@ -77,58 +77,6 @@ class TestFrozenPoint:
         assert p_error(fs, eff, D_GYS) == pytest.approx(PE_REF, rel=1e-9)
 
 
-class TestAsymmetricIntensityRegression:
-    """The det-1 click form keeps mu_0 in its full-amplitude exponent.
-
-    An alternative transcription with mu_1 there instead coincides for the
-    symmetric intensities used everywhere, but disagrees with the arrival and
-    error forms once mu_0 != mu_1; this pins the consistent choice.
-    """
-
-    @staticmethod
-    def _p1_variant_mu1(fs, eff, d):
-        return 0.75 + 0.25 * d - 0.25 * (1 - d) * (
-            math.exp(-0.5 * fs.mu_0 * eff.eta_10)
-            + math.exp(-0.5 * fs.mu_1 * eff.eta_11)
-            + math.exp(-fs.mu_1 * eff.eta_10)
-        )
-
-    def test_variants_coincide_for_symmetric_intensities(self):
-        fs = FakedStateIntensities.symmetric(321.0)
-        eff = anyeff(k=50.0)
-        assert p_click_det1(fs, eff, D_GYS) == self._p1_variant_mu1(fs, eff, D_GYS)
-
-    def test_variants_differ_for_asymmetric_intensities(self):
-        fs = FakedStateIntensities(mu_0=100.0, mu_1=900.0)
-        eff = anyeff(k=50.0)
-        ours = p_click_det1(fs, eff, D_GYS)
-        other = self._p1_variant_mu1(fs, eff, D_GYS)
-        assert ours != other
-
-    def test_consistent_variant_matches_arrival_bookkeeping(self):
-        # Summing the two exclusive-click decompositions must reproduce
-        # p_arrive only with the mu_0 exponent; checked via the identity
-        # p_arrive = p0 + p1 - p_double where p_double is derived from the
-        # same case-by-case model with independent per-detector clicks.
-        fs = FakedStateIntensities(mu_0=40.0, mu_1=70.0)
-        eff = anyeff(k=50.0)
-        d = 0.0
-        # per-case double-click probabilities (both detectors, same case)
-        cases = [
-            # (det0 light exponent, det1 light exponent) per receiver case
-            (0.5 * fs.mu_0 * eff.eta_00, 0.5 * fs.mu_0 * eff.eta_10),
-            (0.5 * fs.mu_1 * eff.eta_01, 0.5 * fs.mu_1 * eff.eta_11),
-            (0.0, fs.mu_0 * eff.eta_10),
-            (fs.mu_1 * eff.eta_01, 0.0),
-        ]
-        p_double = 0.25 * sum(
-            (1 - math.exp(-a)) * (1 - math.exp(-b)) for a, b in cases
-        )
-        lhs = p_arrive(fs, eff, d)
-        rhs = p_click_det0(fs, eff, d) + p_click_det1(fs, eff, d) - p_double
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
 class TestRandomizedInvariants:
     @given(
         mu_prime=st.floats(min_value=0.0, max_value=2000.0),
@@ -146,19 +94,44 @@ class TestRandomizedInvariants:
         assert arrive <= 1.0 + 1e-12
 
     @given(
+        mu_prime=st.floats(min_value=0.0, max_value=1e9),
+        k=st.floats(min_value=1.0, max_value=1000.0),
+        distance=st.floats(min_value=0.0, max_value=200.0),
+        d=st.floats(min_value=0.0, max_value=0.5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_arrival_is_click_sum_minus_double_clicks(self, mu_prime, k, distance, d):
+        # p_arrive = p0 + p1 - p_double, with p_double built case by case from
+        # the light exponents (detector 0, detector 1) of the four equally
+        # likely receiver cases and independent per-detector dark counts.
+        eff = efficiency_matrix(GYS.replace(distance=distance), k)
+        fs = FakedStateIntensities.symmetric(mu_prime)
+        half_matched, half_blind = 0.5 * mu_prime * eff.matched, 0.5 * mu_prime * eff.blind
+        full_blind = mu_prime * eff.blind
+        cases = [
+            (half_matched, half_blind),  # mismatched basis, result 0 (t0)
+            (half_blind, half_matched),  # mismatched basis, result 1 (t1)
+            (0.0, full_blind),           # matched basis, result 0: detector 1
+            (full_blind, 0.0),           # matched basis, result 1: detector 0
+        ]
+        p_double = 0.25 * sum(
+            (1 - (1 - d) * math.exp(-x)) * (1 - (1 - d) * math.exp(-y)) for x, y in cases
+        )
+        clicks = p_click_det0(fs, eff, d) + p_click_det1(fs, eff, d)
+        assert p_arrive(fs, eff, d) == pytest.approx(clicks - p_double, rel=0, abs=1e-15)
+
+    @given(
         mu_prime=st.floats(min_value=0.0, max_value=1000.0),
         bump=st.floats(min_value=0.1, max_value=500.0),
         k=st.floats(min_value=1.0, max_value=1000.0),
     )
     @settings(max_examples=200, deadline=None)
-    def test_arrival_monotone_in_each_intensity(self, mu_prime, bump, k):
+    def test_arrival_monotone_in_intensity(self, mu_prime, bump, k):
         eff = efficiency_matrix(GYS.replace(distance=50.0), k)
-        base = p_arrive(FakedStateIntensities(mu_prime, mu_prime), eff, D_GYS)
-        more0 = p_arrive(FakedStateIntensities(mu_prime + bump, mu_prime), eff, D_GYS)
-        more1 = p_arrive(FakedStateIntensities(mu_prime, mu_prime + bump), eff, D_GYS)
-        assert more0 >= base - 1e-15
-        assert more1 >= base - 1e-15
+        base = p_arrive(FakedStateIntensities(mu_prime), eff, D_GYS)
+        more = p_arrive(FakedStateIntensities(mu_prime + bump), eff, D_GYS)
+        assert more >= base - 1e-15
 
     def test_negative_intensity_rejected(self):
         with pytest.raises(ValueError):
-            FakedStateIntensities(-1.0, 5.0)
+            FakedStateIntensities(-1.0)

@@ -61,21 +61,20 @@ class TestDemEfficiencies:
     def test_no_mismatch_all_equal(self):
         eff = efficiency_matrix(GYS.replace(distance=0.0), 1.0)
         floor = 0.045 * 1e-4
-        assert eff.eta_00 == eff.eta_01 == eff.eta_10 == eff.eta_11 == floor
+        assert eff.matched == eff.blind == floor
 
     def test_k310_at_100km(self):
         eff = efficiency_matrix(GYS.replace(distance=100.0), 310.0)
-        assert eff.eta_01 == pytest.approx(3.574477056259267e-8, rel=1e-9)
-        assert eff.eta_00 == pytest.approx(1.1080878874403727e-5, rel=1e-9)
+        assert eff.blind == pytest.approx(3.574477056259267e-8, rel=1e-9)
+        assert eff.matched == pytest.approx(1.1080878874403727e-5, rel=1e-9)
 
     def test_largest_physical_point(self):
         eff = efficiency_matrix(GYS.replace(distance=0.0), 1000.0)
-        assert eff.eta_00 == pytest.approx(4.5e-3, rel=1e-12)
+        assert eff.matched == pytest.approx(4.5e-3, rel=1e-12)
 
     def test_ratio_exact_as_constructed(self):
         eff = efficiency_matrix(GYS.replace(distance=7.0), 123.456)
-        assert eff.eta_00 == eff.eta_11 and eff.eta_01 == eff.eta_10
-        assert eff.eta_00 / eff.eta_10 == pytest.approx(123.456, rel=1e-12)
+        assert eff.matched / eff.blind == pytest.approx(123.456, rel=1e-12)
 
     def test_k_below_one_rejected(self):
         for k in (0.5, math.nan):
@@ -83,19 +82,19 @@ class TestDemEfficiencies:
                 efficiency_matrix(GYS, k)
 
     def test_unphysical_efficiency_rejected(self):
-        # k * eta_01 above unity cannot be a probability.
+        # k * blind above unity cannot be a probability.
         with pytest.raises(ValueError, match="unphysical"):
             efficiency_matrix(GYS.replace(distance=0.0, eta_bob=1.0), 2.0e4)
 
     def test_efficiency_matrix_uses_params_distance(self):
         params = GYS.replace(distance=100.0)
         eff = efficiency_matrix(params, 310.0)
-        assert eff.eta_01 == pytest.approx(T_100KM * 0.045 * 1e-4, rel=1e-12)
+        assert eff.blind == pytest.approx(T_100KM * 0.045 * 1e-4, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1.5, 310.0])
     def test_subnormal_blind_efficiency_rejected(self, k):
         # Past about 14,395 km the floor t_AB*eta_bob*1e-4 is no normal float,
-        # and k*eta_01 would no longer carry the ratio k to full precision.
+        # and k*blind would no longer carry the ratio k to full precision.
         efficiency_matrix(GYS.replace(distance=14_390.0), k)
         with pytest.raises(ValueError, match="smallest normal float"):
             efficiency_matrix(GYS.replace(distance=14_600.0), k)
