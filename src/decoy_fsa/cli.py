@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -167,6 +168,20 @@ def _resolve_recipe_flags(args: argparse.Namespace) -> None:
         raise ConfigError(f"--recipe {args.recipe} sets {_flags(given)} itself")
     values = {**recipes[None], **recipes[args.recipe]}
     vars(args).update({name: v for name, v in values.items() if getattr(args, name) is None})
+
+
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """Reject an output path the command could not create, before any work is done.
+
+    Failures that only the write itself can detect, such as permissions, still
+    exit 1 when they happen.
+    """
+    for name in ("out", "manifest"):
+        if path := getattr(args, name, None):
+            if os.path.isdir(path):
+                raise ConfigError(f"--{name} {path!r} is a directory")
+            if not os.path.isdir(parent := os.path.dirname(path) or "."):
+                raise ConfigError(f"--{name} {path!r}: {parent!r} is not a directory")
 
 
 @functools.cache
@@ -341,6 +356,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _resolve_recipe_flags(args)
+        _check_output_paths(args)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

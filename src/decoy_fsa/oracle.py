@@ -26,6 +26,11 @@ mechanistically, in as much detail as the tallies read:
 Runs are deterministic: work is cut into fixed-size shards whose RNG streams
 are spawned from the master seed by shard index, and tallies merge in shard
 order no matter how shards are executed.
+
+numpy is imported inside the functions that simulate, not at module level:
+the closed-form commands (``rate``, ``scan``, ``sweep``, ``kmin``) import this
+module through the command line but never simulate, and loading numpy took
+more than half of their start-up.
 """
 
 from __future__ import annotations
@@ -34,8 +39,6 @@ import json
 import math
 from dataclasses import dataclass
 from typing import Mapping
-
-import numpy as np
 
 from .model import SystemParams, channel_transmittance, efficiency_matrix
 from .observables import AttackStrategy, Baseline, PNRD, QND, strategy_label
@@ -183,6 +186,8 @@ def _resend_click_tables(strategy: QND | PNRD, params: SystemParams):
     probability q + (1 - q)*d; one uniform u per detector decides light
     (u < q), dark only (q <= u < q + (1 - q)*d) or nothing.
     """
+    import numpy as np
+
     eff = efficiency_matrix(params, strategy.k)
     mu = strategy.mu_prime
     light = np.array([
@@ -205,6 +210,8 @@ def _resend_click_tables(strategy: QND | PNRD, params: SystemParams):
 
 def draw_photons(rng: np.random.Generator, mean: float, m: int, keep: float = 1.0) -> np.ndarray:
     """Pulse index (int64) of each of Poisson(mean*m) photons on m pulses, kept if u < ``keep``."""
+    import numpy as np
+
     photons = rng.integers(0, m, size=rng.poisson(mean * m), dtype=np.int64)
     return photons if keep >= 1.0 else photons[rng.random(photons.size) < keep]
 
@@ -220,6 +227,8 @@ def _simulate_attack_shard(
     light: np.ndarray,
     click: np.ndarray,
 ) -> None:
+    import numpy as np
+
     photons = draw_photons(rng, intensity, m, strategy.eta_e)
     ka = int(np.count_nonzero(np.bincount(photons, minlength=m) == 1))
     kb = m - ka
@@ -296,6 +305,8 @@ def _simulate_baseline_shard(
     m: int,
     tally: dict[str, int],
 ) -> None:
+    import numpy as np
+
     eta = channel_transmittance(params.alpha, params.distance) * params.eta_bob
     n_light = int(np.count_nonzero(np.bincount(draw_photons(rng, intensity, m, eta))))
     n_dark = int(rng.binomial(m - n_light, params.dark_count))
@@ -328,6 +339,7 @@ def simulate_pulses(
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
     if shard_size < 1:
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")
+    import numpy as np
 
     tallies = {stream: dict.fromkeys(_TALLY_KEYS, 0) for stream in _STREAMS}
     resend = {name: [0, 0] for name in _RESEND_ESTIMATES}

@@ -3,6 +3,9 @@
 import csv
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -316,10 +319,21 @@ class TestSweepAndKmin:
         # a negative distance is rejected for every strategy
         (["scan", "--distances=-5,10"], "--distances"),
         (["kmin", "--distances=-5,10"], "--distances"),
+        # an output path in a missing directory, or naming a directory, is
+        # rejected before any work
+        (["scan", "--recipe", "fig3", "--out", "{tmp}/missing/f.csv"], "--out"),
+        (["kmin", "--recipe", "fig4", "--out", "{tmp}"], "--out"),
+        (["rate", "--out", "{tmp}/missing/r.csv"], "--out"),
+        (["sweep", "--recipe", "fig2", "--out", "{tmp}"], "--out"),
+        (["validate", "--n-pulses", "2000", "--out", "{tmp}/missing/v.csv"], "--out"),
+        (["validate", "--n-pulses", "2000", "--manifest", "{tmp}/missing/m.json"], "--manifest"),
     ])
     def test_bad_search_argument_names_the_flag(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "out.csv"
-        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
@@ -394,3 +408,24 @@ class TestRecipeReferences:
             if found:
                 problems[fig] = found
         assert not problems
+
+
+class TestStartup:
+    def test_closed_form_commands_never_load_numpy(self, tmp_path):
+        # numpy is imported by the Monte Carlo oracle on first use only, so the
+        # closed-form commands start without it; a fresh interpreter shows that.
+        script = """if True:
+            import sys
+            import decoy_fsa, decoy_fsa.cli
+            for argv in (["rate"], ["scan", "--recipe", "fig3"],
+                         ["sweep", "--k-values", "10,20", "--mu-prime-values", "0,20"],
+                         ["kmin", "--distances", "50"]):
+                assert decoy_fsa.cli.main([*argv, "--out", argv[0] + ".csv"]) == 0, argv
+            assert "numpy" not in sys.modules
+            code = decoy_fsa.cli.main(["validate", "--n-pulses", "2000"])
+            assert "numpy" in sys.modules and code in (0, 3), code
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr

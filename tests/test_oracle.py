@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decoy_fsa import oracle
 from decoy_fsa.faked_states import FakedStateIntensities, p_arrive, p_click_det0, p_click_det1, p_error
 from decoy_fsa.model import GYS, efficiency_matrix
 from decoy_fsa.observables import Baseline, PNRD, QND, observables_for
@@ -190,6 +195,20 @@ class TestPhotonSource:
             histogram += np.bincount(np.bincount(photons, minlength=m), minlength=5)[:5]
         for n, count in enumerate(histogram):
             assert_within_3sigma(count / (shards * m), poisson_pmf(mu, n), shards * m, f"n={n}")
+
+    def test_draw_photons_runs_before_any_simulation(self):
+        # The oracle imports numpy inside each function that uses it, so a
+        # direct call in a fresh interpreter must not rely on simulate_pulses.
+        script = """if True:
+            import numpy as np
+            from decoy_fsa import oracle
+            photons = oracle.draw_photons(np.random.default_rng(1), 0.5, 100, keep=0.5)
+            assert photons.dtype == np.int64 and photons.size
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(oracle.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
 
 
 class TestClosedFormAgreement:
