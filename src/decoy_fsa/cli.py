@@ -33,6 +33,7 @@ from .oracle import binomial_verdict, simulate_pulses
 VALIDATE_HEADER = (
     "strategy", "L", "quantity", "analytic", "empirical", "sigma", "z", "pass",
 )
+_VALIDATE_CSV = "validate.csv"  # validate's --out when none (or an empty one) is given
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -171,7 +172,7 @@ def _resolve_recipe_flags(args: argparse.Namespace) -> None:
 
 
 def _check_output_paths(args: argparse.Namespace) -> None:
-    """Reject an output path the command could not create, before any work is done.
+    """Reject an output path the command could not create or would write twice, before any work.
 
     Failures that only the write itself can detect, such as permissions, still
     exit 1 when they happen.
@@ -182,6 +183,9 @@ def _check_output_paths(args: argparse.Namespace) -> None:
                 raise ConfigError(f"--{name} {path!r} is a directory")
             if not os.path.isdir(parent := os.path.dirname(path) or "."):
                 raise ConfigError(f"--{name} {path!r}: {parent!r} is not a directory")
+    manifest = getattr(args, "manifest", None)
+    if manifest and os.path.realpath(manifest) == os.path.realpath(args.out or _VALIDATE_CSV):
+        raise ConfigError(f"--manifest and --out name the same file {manifest!r}")
 
 
 @functools.cache
@@ -205,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="detector efficiency mismatch ratio")
             p.add_argument("--mu-prime", type=float, default=None,
                            help="faked-state mean photon number")
-            p.add_argument("--eta-e", type=float, default=None,
-                           help="eavesdropper PNRD single-photon efficiency")
+        p.add_argument("--eta-e", type=float, default=None,
+                       help="eavesdropper PNRD single-photon efficiency")
 
     p_rate = sub.add_parser("rate", help="evaluate one (distance, strategy) point")
     add_common(p_rate)
@@ -221,14 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--distance", type=float)
     p_sweep.add_argument("--k-values")
     p_sweep.add_argument("--mu-prime-values")
-    p_sweep.add_argument("--eta-e", type=float,
-                         help="use the PNRD strategy with this efficiency")
 
     p_kmin = sub.add_parser("kmin", help="minimum attackable mismatch ratio per distance")
     add_common(p_kmin, with_strategy=False)
     p_kmin.add_argument("--distances")
     p_kmin.add_argument("--tol", type=float, default=0.5)
-    p_kmin.add_argument("--eta-e", type=float, default=None)
 
     p_val = sub.add_parser("validate",
                            help="Monte Carlo vs closed-form comparison at 3 sigma")
@@ -246,8 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_rate(args: argparse.Namespace) -> int:
-    params = _load_params(args)
+def _write(args: argparse.Namespace, default: str, header: Sequence[str], rows: list) -> None:
+    out = args.out or default
+    search.write_csv(out, header, rows)
+    print(f"wrote {len(rows)} rows to {out}")
+
+
+def _cmd_rate(args: argparse.Namespace, params: SystemParams) -> int:
     [strategy] = _build_strategies(args, params)
     row = search.scan_row_for(params, strategy)
     for name, value in zip(search.SCAN_HEADER, row):
@@ -257,49 +263,39 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
-    params = _load_params(args)
+def _cmd_scan(args: argparse.Namespace, params: SystemParams) -> int:
     distances = _distances(args.distances)
     strategies = _build_strategies(args, params, distances)
     rows = [row for s in strategies for row in search.distance_scan(params, s, distances)]
-    out = args.out or f"scan_{args.recipe or strategy_label(strategies[0])}.csv"
-    search.write_csv(out, search.SCAN_HEADER, rows)
-    print(f"wrote {len(rows)} rows to {out}")
+    _write(args, f"scan_{args.recipe or strategy_label(strategies[0])}.csv",
+           search.SCAN_HEADER, rows)
     return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace, params: SystemParams) -> int:
     # The fig2 recipe is the default grid at 100 km, QND.
     k_values = _grid_values(args.k_values, "--k-values", 1.0, search.K_MAX)
     mu_prime_values = _grid_values(args.mu_prime_values, "--mu-prime-values", 0.0, math.inf)
-    params = _load_params(args)
     _check_reach(params, k_values[-1], (params.distance,), ("k_values", "distance"))
     rows = search.sweep_grid(params, k_values, mu_prime_values, _search_eta_e(args))
-    out = args.out or f"sweep_{args.recipe or 'grid'}.csv"
-    search.write_csv(out, search.SWEEP_HEADER, rows)
-    print(f"wrote {len(rows)} rows to {out}")
+    _write(args, f"sweep_{args.recipe or 'grid'}.csv", search.SWEEP_HEADER, rows)
     return EXIT_OK
 
 
-def _cmd_kmin(args: argparse.Namespace) -> int:
-    params = _load_params(args)
+def _cmd_kmin(args: argparse.Namespace, params: SystemParams) -> int:
     eta_e = _search_eta_e(args)
     if not 0.0 < args.tol < math.inf:
         raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
     distances = _distances(args.distances)
     _check_reach(params, search.K_MAX, distances, ("distances",))
     rows = [search.k_min(params, distance, tol=args.tol, eta_e=eta_e) for distance in distances]
-    out = args.out or f"kmin_{args.recipe or 'scan'}.csv"
-    search.write_csv(out, search.KMIN_HEADER, rows)
-    print(f"wrote {len(rows)} rows to {out}")
+    _write(args, f"kmin_{args.recipe or 'scan'}.csv", search.KMIN_HEADER, rows)
     return EXIT_OK
 
 
 def _analytic_quantities(params: SystemParams, strategy: AttackStrategy) -> dict[str, float]:
     """Closed-form value of each quantity the Monte Carlo run estimates."""
-    obs = observables_for(params, strategy)
-    quantities = {"q_mu": obs.q_mu, "q_nu": obs.q_nu,
-                  "emu_qmu": obs.emu_qmu, "enu_qnu": obs.enu_qnu}
+    quantities = dict(vars(observables_for(params, strategy)))
     if isinstance(strategy, Baseline):
         return quantities
     eff = efficiency_matrix(params, strategy.k)
@@ -315,8 +311,7 @@ def _analytic_quantities(params: SystemParams, strategy: AttackStrategy) -> dict
     return quantities
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    params = _load_params(args)
+def _cmd_validate(args: argparse.Namespace, params: SystemParams) -> int:
     [strategy] = _build_strategies(args, params)
     if args.n_pulses < 1:
         raise ConfigError(f"--n-pulses must be >= 1, got {args.n_pulses}")
@@ -330,9 +325,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         all_pass &= ok
         rows.append((strategy_label(strategy), params.distance, name,
                      analytic, getattr(empirical, name), sigma, z, ok))
-    out = args.out or "validate.csv"
-    search.write_csv(out, VALIDATE_HEADER, rows)
-    print(f"wrote {len(rows)} rows to {out}")
+    _write(args, _VALIDATE_CSV, VALIDATE_HEADER, rows)
     if args.manifest:
         Path(args.manifest).write_text(empirical.manifest_json())
         print(f"wrote run manifest to {args.manifest}")
@@ -353,11 +346,13 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _resolve_recipe_flags(args)
         _check_output_paths(args)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _load_params(args))
+    except SystemExit as exc:  # argparse's: 2 for a malformed flag, 0 after --help
+        return exc.code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,7 +16,6 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
 
 # Suppression of the blinded detector relative to the nominal Bob-side path:
 # the blind efficiency is t_AB * eta_bob * BLIND_FLOOR.
@@ -75,32 +74,26 @@ class SystemParams:
             raise ConfigError(f"f_ec must be finite and >= 1, got {self.f_ec}")
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SystemParams":
-        """Build params from a flat key/value mapping; absent keys keep their defaults.
-
-        Unknown keys and values that are not numbers (booleans and strings
-        included) are rejected with the offending key named in the message.
-        """
-        known = {f.name for f in dataclasses.fields(cls)}
-        for key, value in data.items():
-            if key not in known:
-                raise ConfigError(f"unknown parameter key: {key!r}")
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"parameter {key!r} must be a number, got {value!r}")
-            if isinstance(value, int) and abs(value) > sys.float_info.max:
-                raise ConfigError(f"{key} must be finite, got an integer beyond the float range")
-        return cls(**{k: float(v) for k, v in data.items()})
-
-    @classmethod
     def from_config(cls, path: str | Path) -> "SystemParams":
-        """Load params from a flat JSON file (keys exactly the field names, integers as floats)."""
+        """Load params from a flat JSON file; absent keys keep their defaults.
+
+        Every JSON number loads as a float (a huge integer as inf, which
+        ``__post_init__`` rejects by name).  Unknown keys and values that are
+        not numbers, booleans included, are rejected with the key named.
+        """
         try:
             data = json.loads(Path(path).read_text(), parse_int=float)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read parameter file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"parameter file {path} must hold a flat JSON object")
-        return cls.from_dict(data)
+        known = {f.name for f in dataclasses.fields(cls)}
+        for key, value in data.items():
+            if key not in known:
+                raise ConfigError(f"unknown parameter key: {key!r}")
+            if not isinstance(value, float):
+                raise ConfigError(f"parameter {key!r} must be a number, got {value!r}")
+        return cls(**data)
 
     def replace(self, **changes: float) -> "SystemParams":
         return dataclasses.replace(self, **changes)

@@ -76,15 +76,10 @@ KMIN_HEADER = _header(KminResult)
 SCAN_HEADER = _header(ScanRow)
 
 
-def _make_strategy(k: float, mu_prime: float, eta_e: float | None) -> AttackStrategy:
-    if eta_e is None:
-        return QND(mu_prime=mu_prime, k=k)
-    return PNRD(mu_prime=mu_prime, k=k, eta_e=eta_e)
-
-
 def _rate_at(params: SystemParams, k: float, mu_prime: float, eta_e: float | None) -> float:
+    strategy = QND(mu_prime, k) if eta_e is None else PNRD(mu_prime, k, eta_e)
     try:
-        return evaluate(params, _make_strategy(k, mu_prime, eta_e)).rate
+        return evaluate(params, strategy).rate
     except DegenerateObservablesError:
         # zero gain (no faked states, no darks): nothing to distill
         return -math.inf
@@ -104,12 +99,12 @@ def best_rate_over_mu_prime(
     """
     if len(mu_primes) == 0:
         raise ValueError("mu_prime grid must be non-empty")
-    best_mu, best_rate = mu_primes[0], -math.inf
-    for mu_prime in mu_primes:
-        rate = _rate_at(params, k, mu_prime, eta_e)
-        if rate > best_rate:
-            best_mu, best_rate = mu_prime, rate
-    return best_mu, best_rate
+    return _best(mu_primes, [_rate_at(params, k, mu_prime, eta_e) for mu_prime in mu_primes])
+
+
+def _best(mu_primes: Sequence[float], rates: Sequence[float]) -> tuple[float, float]:
+    """First (mu_prime, rate) with the top rate; (mu_primes[0], -inf) if none beats -inf."""
+    return max([(mu_primes[0], -math.inf), *zip(mu_primes, rates)], key=lambda t: t[1])
 
 
 def _probe(
@@ -127,8 +122,7 @@ def _probe(
         rates.append(_rate_at(params, k, mu_prime, eta_e))
         if rates[-1] > 0.0 and not argmax:
             return mu_prime, rates[-1]
-    # best_rate_over_mu_prime's rule: ascending, strict >, from (coarse[0], -inf)
-    _, mu_star = max([(-math.inf, coarse[0]), *zip(reversed(rates), coarse)], key=lambda t: t[0])
+    mu_star, _ = _best(coarse, rates[::-1])
     lo = max(0.0, mu_star - COARSE_MU_STEP)
     hi = min(COARSE_MU_MAX, mu_star + COARSE_MU_STEP)
     fine = [lo + i * FINE_MU_STEP for i in range(int(round((hi - lo) / FINE_MU_STEP)) + 1)]

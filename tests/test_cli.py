@@ -14,8 +14,8 @@ from decoy_fsa import cli
 from decoy_fsa.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from decoy_fsa.decoy import evaluate
 from decoy_fsa.model import GYS
-from decoy_fsa.observables import QND
-from decoy_fsa.search import SCAN_HEADER
+from decoy_fsa.observables import PNRD, QND
+from decoy_fsa.search import SCAN_HEADER, k_min
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -46,6 +46,24 @@ class TestParser:
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
+
+    def test_parse_errors_are_returned_not_raised(self, capsys):
+        assert main(["rate", "--k", "abc"]) == EXIT_CONFIG
+        assert "--k" in capsys.readouterr().err
+        assert main(["rate", "--help"]) == EXIT_OK
+
+    @pytest.mark.parametrize("argv, name", [
+        (["scan", "--distances", "10,20"], "scan_baseline.csv"),
+        (["scan", "--recipe", "fig7"], "scan_fig7.csv"),
+        (["sweep", "--k-values", "310", "--mu-prime-values", "300"], "sweep_grid.csv"),
+        (["kmin", "--distances", "50"], "kmin_scan.csv"),
+        (["validate", "--n-pulses", "2000"], "validate.csv"),
+    ])
+    def test_default_output_names(self, tmp_path, monkeypatch, capsys, argv, name):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) in (EXIT_OK, EXIT_VALIDATION)  # a validate verdict still writes
+        rows = read_csv(tmp_path / name)
+        assert f"wrote {len(rows)} rows to {name}" in capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize("first, first_code, second", [
         (["scan", "--recipe", "fig3", "--strategy", "qnd"], EXIT_CONFIG,
@@ -279,6 +297,20 @@ class TestSweepAndKmin:
         assert all(b >= a - 1.0 for a, b in zip(ks, ks[1:]))
         assert all(r["converged"] == "true" for r in rows)
 
+    def test_eta_e_searches_the_pnrd_attack(self, tmp_path):
+        sweep_out, kmin_out = tmp_path / "sweep.csv", tmp_path / "kmin.csv"
+        assert main(["sweep", "--k-values", "310", "--mu-prime-values", "300", "--eta-e", "0.1",
+                     "--out", str(sweep_out)]) == EXIT_OK
+        [row] = read_csv(sweep_out)
+        assert float(row["rate"]) == evaluate(GYS, PNRD(mu_prime=300.0, k=310.0, eta_e=0.1)).rate
+        assert main(["kmin", "--distances", "50", "--eta-e", "0.1",
+                     "--out", str(kmin_out)]) == EXIT_OK
+        [row] = read_csv(kmin_out)
+        expected = k_min(GYS, 50.0, eta_e=0.1)
+        assert [float(row[name]) for name in ("L", "k_min", "mu_prime_at_kmin")] == [
+            expected.distance, expected.k_min, expected.mu_prime_at_kmin]
+        assert row["converged"] == str(expected.converged).lower()
+
     def test_kmin_all_degenerate_distance_is_flagged(self, tmp_path):
         config = tmp_path / "dark.json"
         config.write_text(json.dumps({"dark_count": 0}))
@@ -327,15 +359,18 @@ class TestSweepAndKmin:
         (["sweep", "--recipe", "fig2", "--out", "{tmp}"], "--out"),
         (["validate", "--n-pulses", "2000", "--out", "{tmp}/missing/v.csv"], "--out"),
         (["validate", "--n-pulses", "2000", "--manifest", "{tmp}/missing/m.json"], "--manifest"),
+        # the run manifest would overwrite the CSV, given or default
+        (["validate", "--n-pulses", "1000", "--out", "v.csv", "--manifest", "{tmp}/v.csv"],
+         "--manifest and --out"),
+        (["validate", "--n-pulses", "1000", "--manifest", "validate.csv"],
+         "--manifest and --out"),
     ])
-    def test_bad_search_argument_names_the_flag(self, tmp_path, capsys, argv, flag):
-        out = tmp_path / "out.csv"
-        argv = [arg.format(tmp=tmp_path) for arg in argv]
-        if "--out" not in argv:
-            argv += ["--out", str(out)]
-        assert main(argv) == EXIT_CONFIG
+    def test_bad_search_argument_names_the_flag(self, tmp_path, monkeypatch, capsys, argv, flag):
+        # Run in an empty directory, which also receives any default-named output.
+        monkeypatch.chdir(tmp_path)
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == EXIT_CONFIG
         assert flag in capsys.readouterr().err
-        assert not out.exists()
+        assert not os.listdir(tmp_path)
 
 
 class TestValidate:

@@ -170,11 +170,6 @@ class TestSystemParams:
         with pytest.raises(ConfigError, match="distance must be finite"):
             SystemParams.from_config(path)
 
-    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["positive", "negative"])
-    def test_int_beyond_float_range_named(self, value):
-        with pytest.raises(ConfigError, match="distance must be finite"):
-            SystemParams.from_dict({"distance": value})
-
     def test_config_invalid_value(self, tmp_path):
         path = tmp_path / "params.json"
         path.write_text(json.dumps({"eta_bob": 2.0}))
@@ -191,6 +186,8 @@ class TestSystemParams:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemParams)])
-    def test_non_finite_field_rejected_by_name(self, name, value):
+    def test_non_finite_field_rejected_by_name(self, tmp_path, name, value):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({name: value}))  # JSON NaN / Infinity
         with pytest.raises(ConfigError, match=rf"\b{name}\b.*{value}"):
-            SystemParams.from_dict({name: value})
+            SystemParams.from_config(path)
