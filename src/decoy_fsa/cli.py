@@ -177,12 +177,15 @@ def _check_output_paths(args: argparse.Namespace) -> None:
     Failures that only the write itself can detect, such as permissions, still
     exit 1 when they happen.
     """
+    config = args.config and os.path.realpath(args.config)
     for name in ("out", "manifest"):
         if path := getattr(args, name, None):
             if os.path.isdir(path):
                 raise ConfigError(f"--{name} {path!r} is a directory")
             if not os.path.isdir(parent := os.path.dirname(path) or "."):
                 raise ConfigError(f"--{name} {path!r}: {parent!r} is not a directory")
+            if os.path.realpath(path) == config:
+                raise ConfigError(f"--{name} {path!r} would overwrite the --config file")
     manifest = getattr(args, "manifest", None)
     if manifest and os.path.realpath(manifest) == os.path.realpath(args.out or _VALIDATE_CSV):
         raise ConfigError(f"--manifest and --out name the same file {manifest!r}")

@@ -4,11 +4,13 @@ This is the brute-force cross-check for every closed-form probability in the
 package, so no draw is computed from a closed form.  Every pulse is simulated
 mechanistically, in as much detail as the tallies read:
 
-* Source: per shard and stream, a Poisson(intensity*m) photon total, each photon
-  at a uniform pulse index: by Poisson splitting, iid Poisson counts per pulse.
-* Gate: each photon passes the eavesdropper's detector if its uniform u < eta_e
-  (nothing is drawn at eta_e = 1, the ideal QND strategy), and she attacks the
-  pulses left with exactly one photon.
+* Source: per shard and stream, a Poisson(intensity*m) photon total, of which
+  the number that pass a detector of efficiency keep is one Binomial(total,
+  keep) draw (the sum of the per-photon trials), each passing photon at a
+  uniform pulse index: by Poisson splitting, iid Poisson counts per pulse.
+* Gate: the eavesdropper's detector passes photons at keep = eta_e (nothing
+  is drawn at eta_e = 1, the ideal QND strategy), and she attacks the pulses
+  left with exactly one photon.
 * Blocked pulses reach Bob as a bare dark-count opportunity with probability d
   per gate: their click count is one Binomial(blocked, d) draw, and each click
   gets a random bit and a random Alice bit.
@@ -19,8 +21,9 @@ mechanistically, in as much detail as the tallies read:
 * Bob's intrinsic detector error flips the bit of each resent click with
   probability e_detector, drawn as one binomial count over the wrong and one
   over the right bits; the users' error tallies carry the flipped bits.
-* Baseline: a pulse is lit if one of its photons passes u < t_AB*eta_bob;
-  the unlit pulses, the errors of light (e_detector) and dark (1/2) clicks and
+* Baseline: photons pass the channel and Bob's detector at keep =
+  t_AB*eta_bob, and a pulse is lit if at least one of its photons passes; the
+  unlit pulses, the errors of light (e_detector) and dark (1/2) clicks and
   detector 1's share of clicks (1/2) are then each one binomial count.
 
 Runs are deterministic: work is cut into fixed-size shards whose RNG streams
@@ -209,11 +212,18 @@ def _resend_click_tables(strategy: QND | PNRD, params: SystemParams):
 
 
 def draw_photons(rng: np.random.Generator, mean: float, m: int, keep: float = 1.0) -> np.ndarray:
-    """Pulse index (int64) of each of Poisson(mean*m) photons on m pulses, kept if u < ``keep``."""
+    """Pulse index (int64) of each photon that passes, of Poisson(mean*m) photons on m pulses.
+
+    Each photon passes independently with probability ``keep``: the number that
+    pass is one Binomial(total, keep) draw (none at ``keep`` = 1), and only
+    those photons get a pulse index.
+    """
     import numpy as np
 
-    photons = rng.integers(0, m, size=rng.poisson(mean * m), dtype=np.int64)
-    return photons if keep >= 1.0 else photons[rng.random(photons.size) < keep]
+    total = rng.poisson(mean * m)
+    if keep < 1.0:
+        total = rng.binomial(total, keep)
+    return rng.integers(0, m, size=total, dtype=np.int64)
 
 
 def _simulate_attack_shard(

@@ -372,6 +372,25 @@ class TestSweepAndKmin:
         assert flag in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["scan", "--distances", "10", "--out", "{config}"], "--out"),
+        (["validate", "--n-pulses", "1000", "--out", "v.csv", "--manifest", "./{config}"],
+         "--manifest"),
+    ])
+    def test_output_naming_the_config_file_is_rejected(self, tmp_path, monkeypatch, capsys,
+                                                       argv, flag):
+        # The parameter file would be replaced by the output and unreadable next run.
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"distance": 50}))
+        before = config.read_bytes()
+        # The config is named by its absolute path, the output relative to the working directory.
+        command, *flags = argv
+        assert main([command, "--config", str(config)]
+                    + [arg.format(config="c.json") for arg in flags]) == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["c.json"] and config.read_bytes() == before
+
 
 class TestValidate:
     def test_deterministic_csv_byte_identical(self, tmp_path):

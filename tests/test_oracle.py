@@ -184,17 +184,35 @@ class TestEstimateTable:
 
 class TestPhotonSource:
     def test_photon_numbers_per_pulse_are_poisson(self):
-        # The photons spread over the pulses must give each pulse a Poisson
-        # photon number, checked over 20 shards of 1e6 pulses.
+        # The photons that pass, spread over the pulses, must give each pulse a
+        # Poisson(mu*keep) photon number, checked over 20 shards of 1e6 pulses
+        # for the unthinned (QND) and a thinned source.
         mu, m, shards = 0.48, 1_000_000, 20
-        rng = np.random.default_rng(20240901)
-        histogram = np.zeros(5, dtype=np.int64)
-        for _ in range(shards):
-            photons = draw_photons(rng, mu, m)
-            assert photons.dtype == np.int64
-            histogram += np.bincount(np.bincount(photons, minlength=m), minlength=5)[:5]
-        for n, count in enumerate(histogram):
-            assert_within_3sigma(count / (shards * m), poisson_pmf(mu, n), shards * m, f"n={n}")
+        for keep in (1.0, 0.1):
+            rng = np.random.default_rng(20240901)
+            histogram = np.zeros(5, dtype=np.int64)
+            for _ in range(shards):
+                photons = draw_photons(rng, mu, m, keep)
+                assert photons.dtype == np.int64
+                histogram += np.bincount(np.bincount(photons, minlength=m), minlength=5)[:5]
+            for n, count in enumerate(histogram):
+                assert_within_3sigma(count / (shards * m), poisson_pmf(mu * keep, n), shards * m,
+                                     f"keep={keep} n={n}")
+
+    def test_unthinned_source_draws_only_total_and_indices(self):
+        # keep = 1 (the QND gate) draws nothing beyond the photon total and one
+        # pulse index per photon, so its seeded streams stay fixed.
+        mean, m = 0.48, 10_000
+        photons = draw_photons(np.random.default_rng(5), mean, m, keep=1.0)
+        rng = np.random.default_rng(5)
+        expected = rng.integers(0, m, size=rng.poisson(mean * m), dtype=np.int64)
+        assert photons.dtype == np.int64
+        assert np.array_equal(photons, expected)
+
+    def test_nothing_passes_at_zero_keep(self):
+        # keep = 0 is reached when the baseline transmittance underflows.
+        photons = draw_photons(np.random.default_rng(5), 0.48, 10_000, keep=0.0)
+        assert photons.dtype == np.int64 and photons.size == 0
 
     def test_draw_photons_runs_before_any_simulation(self):
         # The oracle imports numpy inside each function that uses it, so a
