@@ -136,20 +136,17 @@ def k_min(
     tol: float = 0.5,
     eta_e: float | None = None,
 ) -> KminResult:
-    """Bisection for the smallest k in [1, 1000] with an attainable positive rate.
+    """Bisection for the smallest k in (1, 1000] with an attainable positive rate.
 
-    Probes stop at the first positive coarse rate; the best intensity is
-    searched only where reported, at k = 1 and at the final k.  Non-convergence
-    (no positive rate even at k = 1000) is a flagged result, not an error.
+    k = 1 is not probed: there p_arrive = 1 - (1-d)^2*h^2 = 2*p_error, h = exp(-mu'*eta_blind/2),
+    so QND and PNRD give e_mu = 1/2 at any mu', d and e_detector; were k = 1 feasible, k_min would
+    lie within tol of 1.  Probes stop at the first positive rate; none at k = 1000: not converged.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     p = params.replace(distance=distance)
     if _probe(p, K_MAX, eta_e, False)[1] <= 0.0:
         return KminResult(distance, math.inf, math.nan, converged=False)
-    mu_lo, rate_lo = _probe(p, 1.0, eta_e, True)
-    if rate_lo > 0.0:
-        return KminResult(distance, 1.0, mu_lo, converged=True)
     lo, hi = 1.0, K_MAX
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from decoy_fsa import cli
-from decoy_fsa.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from decoy_fsa import cli, search
+from decoy_fsa.cli import (
+    EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_parser, main,
+)
 from decoy_fsa.decoy import evaluate
 from decoy_fsa.model import GYS
 from decoy_fsa.observables import PNRD, QND
@@ -132,6 +134,26 @@ class TestRate:
         code = main(["rate", "--config", str(config)])
         assert code == EXIT_CONFIG
         assert "mu_signal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read parameter file"),
+        ("[1, 2]", "must hold a flat JSON object"),
+    ], ids=["missing", "not-an-object"])
+    def test_unreadable_config_names_the_file(self, tmp_path, capsys, content, message):
+        config = tmp_path / "params.json"
+        if content is not None:
+            config.write_text(content)
+        assert main(["rate", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and str(config) in err
+
+    def test_failed_write_exits_1(self, tmp_path, monkeypatch, capsys):
+        def full_disk(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(search, "write_csv", full_disk)
+        assert main(["rate", "--out", str(tmp_path / "out.csv")]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("error: [Errno 28] No space left on device")
 
     def test_missing_strategy_options(self, capsys):
         code = main(["rate", "--strategy", "qnd"])

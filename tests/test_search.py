@@ -1,12 +1,14 @@
 """Tests for the sweep, per-distance optimum, k_min bisection, and distance scans."""
 
 import math
+import random
 
 import pytest
 
 from decoy_fsa import search
+from decoy_fsa.decoy import evaluate
 from decoy_fsa.model import GYS
-from decoy_fsa.observables import PNRD, QND, Baseline
+from decoy_fsa.observables import PNRD, QND, Baseline, DegenerateObservablesError
 from decoy_fsa.search import (
     SCAN_HEADER,
     best_rate_over_mu_prime,
@@ -24,6 +26,27 @@ class TestBestRateOverMuPrime:
     def test_no_mismatch_is_infeasible(self):
         _, best = best_rate_over_mu_prime(GYS.replace(distance=100.0), 1.0, COARSE_GRID)
         assert best < 0.0
+        # k_min never probes k = 1, on this premise: both detectors meet the faked
+        # states alike, so e_mu = 1/2 and no rate is positive.  The sample's seed was
+        # fixed before its first run and is not re-drawn.
+        rng = random.Random(2718)
+        for i in range(50):
+            mu = rng.uniform(0.1, 1.0)
+            params = GYS.replace(
+                mu=mu, nu=mu * rng.uniform(0.05, 0.95), eta_bob=rng.uniform(0.02, 1.0),
+                dark_count=rng.choice((0.0, 1.7e-6, 1e-3, 0.1, 0.3)),
+                e_detector=rng.choice((0.0, 0.033, 0.5)), distance=rng.uniform(0.0, 150.0),
+            )
+            eta_e = rng.uniform(0.05, 1.0)
+            for mu_prime in COARSE_GRID:
+                strategy = QND(mu_prime, 1.0) if i % 2 == 0 else PNRD(mu_prime, 1.0, eta_e)
+                try:
+                    report = evaluate(params, strategy)
+                except DegenerateObservablesError:  # no light and no darks
+                    continue
+                assert report.rate <= 0.0, (params, strategy)
+                if report.observables.q_mu > 1e-12:
+                    assert abs(report.observables.e_mu - 0.5) < 1e-9, (params, strategy)
 
     def test_published_tuple_is_feasible(self):
         mu_star, best = best_rate_over_mu_prime(
@@ -180,7 +203,8 @@ class TestKminEarlyStop:
         assert repr((result.k_min, result.mu_prime_at_kmin, result.converged)) == repr(expected)
 
     def test_fig4_evaluation_budget(self, monkeypatch):
-        # The full search at every probe took 41,370 evaluations here.
+        # The full search at every probe took 41,370 evaluations here, probes that
+        # stop at the first positive rate 15,428, and dropping the k = 1 probe 12,248.
         calls = 0
         evaluate = search.evaluate
 
@@ -192,7 +216,7 @@ class TestKminEarlyStop:
         monkeypatch.setattr(search, "evaluate", counted)
         for distance in FIG4_DISTANCES:
             k_min(GYS, distance)
-        assert calls <= 15_428
+        assert calls <= 12_248
 
     def test_grid_edge_flag(self):
         edge = {d: k_min(GYS, d).on_grid_edge for d in FIG4_DISTANCES}
@@ -202,8 +226,6 @@ class TestKminEarlyStop:
 
 class TestSweepGrid:
     def test_single_cell_matches_direct_pipeline(self):
-        from decoy_fsa.decoy import evaluate
-
         params = GYS.replace(distance=100.0)
         rows = sweep_grid(params, (310.0,), (300.0,))
         assert len(rows) == 1
