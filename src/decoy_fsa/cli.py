@@ -4,7 +4,7 @@ Parameters start from the GYS link constants, overridden by a flat JSON file
 (``--config``) and then by command-line flags.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error, 3 validation
-failure (analytic vs Monte Carlo disagreement beyond 3 sigma).
+failure (analytic vs Monte Carlo disagreement beyond 3 sigma, or no trials).
 """
 
 from __future__ import annotations
@@ -322,18 +322,20 @@ def _cmd_validate(args: argparse.Namespace, params: SystemParams) -> int:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     empirical = simulate_pulses(params, strategy, args.n_pulses, args.seed)
     rows = []
-    all_pass = True
+    failed = []
     for name, analytic in _analytic_quantities(params, strategy).items():
-        sigma, z, ok = binomial_verdict(*empirical.counts[name], analytic)
-        all_pass &= ok
+        successes, trials = empirical.counts[name]
+        sigma, z, ok = binomial_verdict(successes, trials, analytic)
+        if not ok:
+            failed.append(f"{name} ({'beyond 3 sigma' if trials else 'no trials'})")
         rows.append((strategy_label(strategy), params.distance, name,
                      analytic, getattr(empirical, name), sigma, z, ok))
     _write(args, _VALIDATE_CSV, VALIDATE_HEADER, rows)
     if args.manifest:
         Path(args.manifest).write_text(empirical.manifest_json())
         print(f"wrote run manifest to {args.manifest}")
-    if not all_pass:
-        print("validation FAILED: at least one quantity beyond 3 sigma", file=sys.stderr)
+    if failed:
+        print(f"validation FAILED: {', '.join(failed)}", file=sys.stderr)
         return EXIT_VALIDATION
     print("validation passed: all quantities within 3 sigma")
     return EXIT_OK

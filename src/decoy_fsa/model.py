@@ -34,7 +34,7 @@ class SystemParams:
         alpha: fiber loss coefficient in dB/km.
         dark_count: dark count probability per gate.
         eta_bob: Bob-side transmittance.
-        mu: signal-state mean photon number.
+        mu: signal-state mean photon number (below 709.78, where exp(mu) overflows).
         nu: decoy-state mean photon number (0 < nu < mu).
         f_ec: bidirectional error-correction efficiency factor.
         q_sift: sifting factor (1/2 for symmetric basis choice).
@@ -53,9 +53,10 @@ class SystemParams:
     distance: float = 100.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.nu < self.mu < math.inf:
+        mu_max = math.log(sys.float_info.max)  # exp(mu) enters the single-photon yield bound
+        if not 0.0 < self.nu < self.mu < mu_max:
             raise ConfigError(
-                f"need 0 < nu < mu < inf (single-photon yield bound denominator), "
+                f"need 0 < nu < mu < {mu_max:.2f} (single-photon yield bound), "
                 f"got nu={self.nu}, mu={self.mu}"
             )
         if not 0.0 <= self.dark_count < 1.0:

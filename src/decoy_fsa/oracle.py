@@ -26,9 +26,9 @@ mechanistically, in as much detail as the tallies read:
   unlit pulses, the errors of light (e_detector) and dark (1/2) clicks and
   detector 1's share of clicks (1/2) are then each one binomial count.
 
-Runs are deterministic: work is cut into fixed-size shards whose RNG streams
-are spawned from the master seed by shard index, and tallies merge in shard
-order no matter how shards are executed.
+Runs are deterministic: shards of at most ``DEFAULT_SHARD_SIZE`` pulses and
+about as many signal photons draw RNG streams spawned from the master seed by
+shard index, and tallies merge in shard order no matter how shards are run.
 
 numpy is imported inside the functions that simulate, not at module level:
 the closed-form commands (``rate``, ``scan``, ``sweep``, ``kmin``) import this
@@ -211,7 +211,7 @@ def _resend_click_tables(strategy: QND | PNRD, params: SystemParams):
     return light, click
 
 
-def draw_photons(rng: np.random.Generator, mean: float, m: int, keep: float = 1.0) -> np.ndarray:
+def draw_photons(rng: np.random.Generator, mean: float, m: int, keep: float) -> np.ndarray:
     """Pulse index (int64) of each photon that passes, of Poisson(mean*m) photons on m pulses.
 
     Each photon passes independently with probability ``keep``: the number that
@@ -337,18 +337,16 @@ def simulate_pulses(
     strategy: AttackStrategy,
     n_pulses: int,
     seed: int,
-    shard_size: int = DEFAULT_SHARD_SIZE,
 ) -> EmpiricalObservables:
     """Simulate ``n_pulses`` signal pulses and ``n_pulses`` decoy pulses.
 
-    The shard layout depends only on ``n_pulses`` and ``shard_size``, and each
-    shard's RNG stream is spawned from ``seed`` by index, so identical inputs
-    give identical tallies regardless of how the shards are scheduled.
+    A shard holds at most ``DEFAULT_SHARD_SIZE`` pulses and about as many
+    signal photons, and its RNG stream is spawned from ``seed`` by index, so
+    identical inputs give identical tallies however the shards are scheduled.
     """
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
-    if shard_size < 1:
-        raise ValueError(f"shard_size must be >= 1, got {shard_size}")
+    shard_size = max(1, int(min(DEFAULT_SHARD_SIZE, DEFAULT_SHARD_SIZE // params.mu)))
     import numpy as np
 
     tallies = {stream: dict.fromkeys(_TALLY_KEYS, 0) for stream in _STREAMS}

@@ -45,8 +45,8 @@ def r_absolute_for(params: SystemParams, strategy: PNRD | QND) -> float:
     (1/8)*p_att*(r1 + s0): the 1/4 chance that her basis differs from both
     parties', times the 1/2 per-case secure fraction, times the probability
     p_att that she mounted the resend at all; r1 and s0 come from the outcome
-    table of the strategy's own faked states.  The ideal QND strategy is the
-    PNRD case eta_e = 1.
+    table of the strategy's own faked states.  ``decoy.evaluate`` reports it
+    for PNRD only, and NaN for QND (the case eta_e = 1) and the baseline.
     """
     eff = efficiency_matrix(params, strategy.k)
     probs = table1_probs(FakedStateIntensities.symmetric(strategy.mu_prime), eff)

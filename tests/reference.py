@@ -1,6 +1,42 @@
-"""Independent reference formulas the tests check the program against."""
+"""Independent reference formulas and values the tests check the program against."""
 
 import math
+import sys
+
+_TINY = 5e-324  # the smallest positive float
+_BIG = sys.float_info.max
+_MU_MAX = math.log(_BIG)  # exp(mu) overflows past it
+
+
+def next_up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def next_down(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+# Every SystemParams bound at its edge, for the GYS defaults otherwise:
+# (field, a value just inside, a value just outside).
+PARAM_EDGES = [
+    ("nu", _TINY, 0.0),
+    ("nu", next_down(0.48), 0.48),  # below mu
+    ("mu", next_down(_MU_MAX), _MU_MAX),
+    ("dark_count", 0.0, -_TINY),
+    ("dark_count", next_down(1.0), 1.0),
+    ("eta_bob", _TINY, 0.0),
+    ("eta_bob", 1.0, next_up(1.0)),
+    ("alpha", _TINY, 0.0),
+    ("alpha", _BIG, math.inf),
+    ("distance", 0.0, -_TINY),
+    ("distance", _BIG, math.inf),
+    ("e_detector", 0.0, -_TINY),
+    ("e_detector", 0.5, next_up(0.5)),
+    ("q_sift", _TINY, 0.0),
+    ("q_sift", 1.0, next_up(1.0)),
+    ("f_ec", 1.0, next_down(1.0)),
+    ("f_ec", _BIG, math.inf),
+]
 
 
 def poisson_pmf(mean: float, count: int) -> float:

@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from decoy_fsa.decoy import evaluate
 from decoy_fsa.model import GYS
 from decoy_fsa.observables import PNRD, QND
 from decoy_fsa.search import SCAN_HEADER, k_min
+from reference import PARAM_EDGES
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -242,6 +244,15 @@ class TestRate:
         assert main(["rate", "--config", str(config)]) == EXIT_CONFIG
         assert "distance must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, outside", [(key, outside) for key, _, outside in PARAM_EDGES],
+                             ids=[f"{key}={outside!r}" for key, _, outside in PARAM_EDGES])
+    def test_config_value_just_outside_its_bound_names_the_key(self, tmp_path, capsys,
+                                                               key, outside):
+        config = tmp_path / "edge.json"
+        config.write_text(json.dumps({key: outside}))  # JSON Infinity for inf
+        assert main(["rate", "--config", str(config)]) == EXIT_CONFIG
+        assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+
 
 class TestScanRecipes:
     def test_fig3_two_curves_with_sign_changes(self, tmp_path, capsys):
@@ -441,9 +452,21 @@ class TestValidate:
         code = main(["validate", "--strategy", "baseline", "--distance", "60",
                      "--n-pulses", "20000", "--seed", "8", "--out", str(out)])
         assert code == EXIT_VALIDATION
-        assert "validation FAILED" in capsys.readouterr().err
+        assert capsys.readouterr().err == "validation FAILED: q_mu (beyond 3 sigma)\n"
         assert {r["quantity"]: r["pass"] for r in read_csv(out)} == {
             "q_mu": "false", "q_nu": "true", "emu_qmu": "true", "enu_qnu": "true"}
+
+    def test_quantities_without_trials_are_named(self, tmp_path, capsys):
+        # One pulse per stream resends none at seed 3, so the six resend
+        # estimates have no trials: that still fails, and stderr says why.
+        out = tmp_path / "val.csv"
+        code = main(["validate", "--strategy", "qnd", "--k", "310", "--mu-prime", "300",
+                     "--n-pulses", "1", "--seed", "3", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        resend = ("p_click0", "p_click1", "p_arrive", "p_error", "r1", "s0")
+        assert capsys.readouterr().err == (
+            "validation FAILED: " + ", ".join(f"{name} (no trials)" for name in resend) + "\n")
+        assert [r["quantity"] for r in read_csv(out) if r["pass"] == "false"] == list(resend)
 
     def test_manifest_records_the_run(self, tmp_path, capsys):
         out, manifest = tmp_path / "val.csv", tmp_path / "run.json"

@@ -15,7 +15,7 @@ from decoy_fsa.model import (
     channel_transmittance,
     efficiency_matrix,
 )
-from reference import poisson_pmf
+from reference import PARAM_EDGES, next_down, next_up, poisson_pmf
 
 # Frozen with 40-digit arithmetic.
 T_100KM = 7.9432823472428150e-3
@@ -132,6 +132,7 @@ class TestSystemParams:
         p = GYS
         assert (p.alpha, p.dark_count, p.eta_bob) == (0.21, 1.7e-6, 0.045)
         assert (p.mu, p.nu, p.f_ec, p.q_sift, p.e_detector) == (0.48, 0.05, 1.22, 0.5, 0.0)
+        assert p.distance == 100.0
 
     def test_decoy_must_be_weaker_than_signal(self):
         with pytest.raises(ConfigError):
@@ -191,3 +192,28 @@ class TestSystemParams:
         path.write_text(json.dumps({name: value}))  # JSON NaN / Infinity
         with pytest.raises(ConfigError, match=rf"\b{name}\b.*{value}"):
             SystemParams.from_config(path)
+
+
+_UNIT_LINK = GYS.replace(distance=0.0, eta_bob=1.0)  # blind efficiency exactly 1e-4
+
+# (build, a value just inside, a value just outside, the error, a pattern naming the field)
+MODEL_GUARDS = [
+    *(pytest.param(lambda v, f=field: SystemParams(**{f: v}), inside, outside, ConfigError,
+                   rf"\b{field}\b", id=f"SystemParams.{field}={outside!r}")
+      for field, inside, outside in PARAM_EDGES),
+    pytest.param(lambda v: channel_transmittance(v, 10.0), 5e-324, 0.0, ValueError, "alpha",
+                 id="channel_transmittance.alpha"),
+    pytest.param(lambda v: channel_transmittance(0.21, v), 0.0, -5e-324, ValueError, "distance",
+                 id="channel_transmittance.distance"),
+    pytest.param(lambda v: efficiency_matrix(_UNIT_LINK, v), 1.0, next_down(1.0),
+                 ValueError, r"\bk\b", id="efficiency_matrix.k"),
+    pytest.param(lambda v: efficiency_matrix(_UNIT_LINK, v), 1e4, next_up(1e4),
+                 ValueError, r"k\*blind", id="efficiency_matrix.k_blind"),
+]
+
+
+@pytest.mark.parametrize("build, inside, outside, error, named", MODEL_GUARDS)
+def test_guard_edges(build, inside, outside, error, named):
+    build(inside)
+    with pytest.raises(error, match=named):
+        build(outside)

@@ -10,6 +10,7 @@ from decoy_fsa.model import GYS
 from decoy_fsa.observables import (
     Baseline,
     DegenerateObservablesError,
+    Observables,
     PNRD,
     QND,
     _attack_observables,
@@ -18,7 +19,7 @@ from decoy_fsa.observables import (
     observables_pnrd,
     p_single,
 )
-from reference import poisson_pmf
+from reference import next_up, poisson_pmf
 
 # Frozen with 40-digit arithmetic.
 QND_310_300_100 = {
@@ -215,3 +216,41 @@ class TestDispatch:
         params = GYS.replace(distance=distance)
         obs = observables_for(params, QND(mu_prime=mu_prime, k=k))
         assert 0.0 <= obs.e_mu <= 1.0
+
+
+_SLACK = 1e-12  # the rounding slack Observables allows on E*Q, Q and the QBER
+
+
+# (build, a value just inside, a value just outside, the error, a pattern naming the field)
+OBSERVABLES_GUARDS = [
+    pytest.param(lambda v: Observables(v, 0.0, 0.0, 0.0), 5e-324, 0.0,
+                 DegenerateObservablesError, "signal gain", id="Observables.q_mu"),
+    pytest.param(lambda v: Observables(1.0, 1.0, v, 0.0), -_SLACK, -next_up(_SLACK),
+                 ValueError, r"E_mu\*Q_mu", id="Observables.emu_qmu"),
+    pytest.param(lambda v: Observables(1.0, 0.5, 0.0, v), 0.5 + _SLACK, next_up(0.5 + _SLACK),
+                 ValueError, r"E_nu\*Q_nu", id="Observables.enu_qnu"),
+    pytest.param(lambda v: Observables(1.0, v, 0.0, 0.0), 1.0 + _SLACK, next_up(1.0 + _SLACK),
+                 ValueError, r"Q_nu <= 1", id="Observables.q_nu"),
+    # At a tiny gain the slack on E*Q lets through a QBER above 1.
+    pytest.param(lambda v: Observables(1e-13, 0.0, v, 0.0), 1e-13, 5e-13,
+                 ValueError, "QBER", id="Observables.e_mu"),
+    pytest.param(lambda v: p_single(v, 0.5), 0.0, -5e-324, ValueError, r"\bmu\b",
+                 id="p_single.mu"),
+    pytest.param(lambda v: p_single(0.48, v), 5e-324, 0.0, ValueError, "eta_e",
+                 id="p_single.eta_e=0"),
+    pytest.param(lambda v: p_single(0.48, v), 1.0, next_up(1.0), ValueError, "eta_e",
+                 id="p_single.eta_e>1"),
+    pytest.param(lambda v: PNRD(mu_prime=900.0, k=1000.0, eta_e=v), 5e-324, 0.0, ValueError,
+                 "eta_e", id="PNRD.eta_e=0"),
+    pytest.param(lambda v: PNRD(mu_prime=900.0, k=1000.0, eta_e=v), 1.0, next_up(1.0), ValueError,
+                 "eta_e", id="PNRD.eta_e>1"),
+    pytest.param(lambda v: observables_for(GYS, v), Baseline(), object(), TypeError,
+                 "unknown strategy type: object", id="observables_for.strategy"),
+]
+
+
+@pytest.mark.parametrize("build, inside, outside, error, named", OBSERVABLES_GUARDS)
+def test_guard_edges(build, inside, outside, error, named):
+    build(inside)
+    with pytest.raises(error, match=named):
+        build(outside)

@@ -5,7 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,11 +53,14 @@ class TestDeterminism:
     def test_qnd_is_pnrd_at_unit_efficiency(self):
         # At eta_e = 1 the gate is the photon number itself and draws nothing,
         # so the ideal strategy and a perfect PNRD consume the same stream.
+        # Three shards of 1e5 pulses each check that they merge alike.
         params = GYS.replace(distance=50.0, e_detector=0.033)
-        runs = [
-            simulate_pulses(params, strategy, 300_000, seed=11, shard_size=100_000)
-            for strategy in (QND(mu_prime=300.0, k=310.0), PNRD(mu_prime=300.0, k=310.0, eta_e=1.0))
-        ]
+        with mock.patch.object(oracle, "DEFAULT_SHARD_SIZE", 100_000):
+            runs = [
+                simulate_pulses(params, strategy, 300_000, seed=11)
+                for strategy in (QND(mu_prime=300.0, k=310.0),
+                                 PNRD(mu_prime=300.0, k=310.0, eta_e=1.0))
+            ]
         assert runs[0].tallies == runs[1].tallies
         assert runs[0].counts == runs[1].counts
 
@@ -123,7 +128,8 @@ class TestTrivialCases:
                     "qnd": QND(mu_prime=mu_prime, k=1000.0),
                     "pnrd": PNRD(mu_prime=mu_prime, k=1000.0, eta_e=0.5)}[kind]
         params = GYS.replace(distance=1.0, dark_count=dark_count)
-        run = simulate_pulses(params, strategy, n_pulses, seed=seed, shard_size=shard_size)
+        with mock.patch.object(oracle, "DEFAULT_SHARD_SIZE", shard_size):  # mu < 1: shards of that size
+            run = simulate_pulses(params, strategy, n_pulses, seed=seed)
         for t in run.tallies.values():
             assert t["sifted"] + t["loss"] == n_pulses
             assert t["click0"] + t["click1"] - t["double_click"] == t["sifted"]
@@ -137,8 +143,21 @@ class TestTrivialCases:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             simulate_pulses(GYS, Baseline(), 0, seed=1)
-        with pytest.raises(ValueError):
-            simulate_pulses(GYS, Baseline(), 10, seed=1, shard_size=0)
+
+    def test_bright_source_shard_memory_is_bounded(self):
+        # A shard holds about DEFAULT_SHARD_SIZE signal photons, not mu times
+        # as many: at mu = 50 one 2e5-pulse shard would hold 1e7 photons
+        # (over 80 MB), while shards of 2e4 pulses take about 8 MB.
+        params = GYS.replace(mu=50.0)
+        tracemalloc.start()
+        try:
+            run = simulate_pulses(params, QND(mu_prime=300.0, k=310.0), 200_000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        for t in run.tallies.values():
+            assert t["sifted"] + t["loss"] == 200_000
 
 
 class TestEstimateTable:
