@@ -12,12 +12,17 @@ mechanistically, in as much detail as the tallies read:
   is drawn at eta_e = 1, the ideal QND strategy), and she attacks the pulses
   left with exactly one photon.
 * Blocked pulses reach Bob as a bare dark-count opportunity with probability d
-  per gate: their click count is one Binomial(blocked, d) draw, and each click
-  gets a random bit and a random Alice bit.
-* Resent faked states draw the receiver's four equally likely (result, basis)
-  cases explicitly, then one uniform u per detector: light if u < q, a dark
-  count alone if q <= u < q + (1 - q)*d, no click otherwise.  Double clicks
-  resolve to a random bit and so contribute half weight to the error tallies.
+  per gate: their click count is one Binomial(blocked, d) draw.  Each click's
+  bit and Alice's bit are independent coins, so the clicks on detector 1 and
+  the errors are one Binomial(clicks, 1/2) draw each.
+* Resent faked states fall into the receiver's four equally likely (result,
+  basis) cases, and in each case each detector independently sees light with
+  probability q, a dark count alone with probability (1 - q)*d, or nothing.
+  The resends are counted over those 4 x 3 x 3 outcomes with one multinomial
+  draw: a sum of iid categorical draws, so no per-pulse value is drawn.  A
+  single click reads its detector's bit; a double click resolves to a random
+  bit, as does Alice's bit when Bob's basis matched the faked state, so those
+  clicks err as one Binomial(clicks, 1/2) draw.
 * Bob's intrinsic detector error flips the bit of each resent click with
   probability e_detector, drawn as one binomial count over the wrong and one
   over the right bits; the users' error tallies carry the flipped bits.
@@ -178,16 +183,17 @@ def binomial_verdict(successes: int, trials: int, p: float) -> tuple[float, floa
     return sigma, z, ok
 
 
-def _resend_click_tables(strategy: QND | PNRD, params: SystemParams):
-    """Per-detector light and click thresholds for each (bob_matches, result) case.
+def _resend_click_tables(strategy: QND | PNRD, params: SystemParams) -> np.ndarray:
+    """Probabilities of the 36 (case, detector-0, detector-1) outcomes of one resend.
 
-    Case index is 2*bob_matches + result; a basis-matched faked state puts all
-    its amplitude on the opposite-bit detector, a mismatched one splits in half.
-    Row m is detector m, which meets a timing-t_m resend at ``eff.matched`` and
-    the other at ``eff.blind``.  It sees light with probability q and,
-    independently, a dark count with probability d, so it clicks with
-    probability q + (1 - q)*d; one uniform u per detector decides light
-    (u < q), dark only (q <= u < q + (1 - q)*d) or nothing.
+    Case index is 2*bob_matches + result, each case with probability 1/4; a
+    basis-matched faked state puts all its amplitude on the opposite-bit
+    detector, a mismatched one splits in half.  Detector m meets a timing-t_m
+    resend at ``eff.matched`` and the other at ``eff.blind``.  It sees light
+    with probability q and, independently, a dark count with probability d, so
+    its outcome is light, dark only or none with probabilities (q, (1 - q)*d,
+    (1 - q)*(1 - d)).  The two detectors are independent, so the table is
+    1/4 * row0 (x) row1 per case, flattened in C order: entry 9*case + 3*o0 + o1.
     """
     import numpy as np
 
@@ -207,8 +213,9 @@ def _resend_click_tables(strategy: QND | PNRD, params: SystemParams):
             0.0,
         ],
     ])
-    click = light + (1.0 - light) * params.dark_count
-    return light, click
+    d = params.dark_count
+    rows = np.stack([light, (1.0 - light) * d, (1.0 - light) * (1.0 - d)], axis=-1)
+    return (0.25 * rows[0][:, :, None] * rows[1][:, None, :]).ravel()
 
 
 def draw_photons(rng: np.random.Generator, mean: float, m: int, keep: float) -> np.ndarray:
@@ -234,8 +241,7 @@ def _simulate_attack_shard(
     m: int,
     tally: dict[str, int],
     resend: dict[str, list[int]],
-    light: np.ndarray,
-    click: np.ndarray,
+    table: np.ndarray,
 ) -> None:
     import numpy as np
 
@@ -243,38 +249,27 @@ def _simulate_attack_shard(
     ka = int(np.count_nonzero(np.bincount(photons, minlength=m) == 1))
     kb = m - ka
 
-    # Blocked pulses: a single dark-count opportunity, random bit on click.
+    # Blocked pulses: a single dark-count opportunity; a click's bit and
+    # Alice's bit are independent coins.
     n_block_click = int(rng.binomial(kb, params.dark_count))
-    block_bits = rng.integers(0, 2, size=n_block_click, dtype=np.uint8)
-    block_alice = rng.integers(0, 2, size=n_block_click, dtype=np.uint8)
-    block_det1 = int(np.count_nonzero(block_bits))
-    n_block_err = int(np.count_nonzero(block_bits != block_alice))
+    block_det1 = int(rng.binomial(n_block_click, 0.5))
+    n_block_err = int(rng.binomial(n_block_click, 0.5))
 
-    # Resent pulses: draw the receiver case, then one uniform per detector.
-    case = rng.integers(0, 4, size=ka, dtype=np.uint8)
-    matches = case >= 2
-    result = (case & 1).view(bool)
-    u0 = rng.random(ka)
-    u1 = rng.random(ka)
-    click0 = u0 < click[0].take(case)
-    click1 = u1 < click[1].take(case)
-    single = click0 ^ click1
-    double = click0 & click1
-    # A double click resolves to a coin, drawn for the double clicks only.
-    coin = rng.integers(0, 2, size=int(np.count_nonzero(double)), dtype=np.uint8)
-    # Bob-mismatch means the eavesdropper read Alice's basis, so her result is
-    # Alice's bit; on Bob-match her basis differed and Alice's bit is fresh.
-    fresh = rng.integers(0, 2, size=ka, dtype=np.uint8).view(bool)
-    alice = result ^ (matches & (fresh ^ result))
-
-    n_click0 = int(np.count_nonzero(click0))
-    n_click1 = int(np.count_nonzero(click1))
-    n_double = coin.size
-    n_clicked = int(np.count_nonzero(single)) + n_double
-    # A single click reads detector 1's bit; it errs where that differs from Alice.
-    n_errors = int(np.count_nonzero(single & (click1 ^ alice))) + int(
-        np.count_nonzero(coin != alice[double])
-    )
+    # Resent pulses: counts per case of (detector-0 outcome, detector-1
+    # outcome), an outcome being light (0), dark only (1) or none (2).
+    n = rng.multinomial(ka, table).reshape(4, 3, 3).tolist()
+    only0 = [g[0][2] + g[1][2] for g in n]  # per case, detector 0 clicked alone
+    only1 = [g[2][0] + g[2][1] for g in n]
+    n_double = sum(g[0][0] + g[0][1] + g[1][0] + g[1][1] for g in n)
+    n_click0 = sum(only0) + n_double
+    n_click1 = sum(only1) + n_double
+    n_clicked = n_click0 + n_click1 - n_double
+    # A single click reads its detector's bit.  On Bob-mismatch Alice's bit is
+    # the eavesdropper's result, so result 0 errs on detector 1 alone and
+    # result 1 on detector 0 alone; on Bob-match Alice's bit is fresh, and a
+    # double click resolves to a coin, so each of those errs with probability 1/2.
+    n_coin = sum(only0[2:]) + sum(only1[2:]) + n_double
+    n_errors = only1[0] + only0[1] + int(rng.binomial(n_coin, 0.5))
     # Bob's intrinsic detector error flips each clicked bit with probability
     # e_detector, wrong bits first, then right ones.  It reaches the users'
     # error tallies only; p_error stays the faked-state count.  A blocked
@@ -294,18 +289,16 @@ def _simulate_attack_shard(
 
     # Light-only tallies: detector 1 on (match, result 0), detector 0 on
     # (match, result 1).
-    match_v0 = case == 2
-    match_v1 = case == 3
     for name, successes, trials in (
         ("p_click0", n_click0, ka),
         ("p_click1", n_click1, ka),
         ("p_arrive", n_clicked, ka),
         ("p_error", n_errors, ka),
-        ("r1", np.count_nonzero(match_v0 & (u1 < light[1, 2])), np.count_nonzero(match_v0)),
-        ("s0", np.count_nonzero(match_v1 & (u0 < light[0, 3])), np.count_nonzero(match_v1)),
+        ("r1", sum(row[0] for row in n[2]), sum(map(sum, n[2]))),
+        ("s0", sum(n[3][0]), sum(map(sum, n[3]))),
     ):
-        resend[name][0] += int(successes)
-        resend[name][1] += int(trials)
+        resend[name][0] += successes
+        resend[name][1] += trials
 
 
 def _simulate_baseline_shard(
@@ -353,16 +346,16 @@ def simulate_pulses(
     resend = {name: [0, 0] for name in _RESEND_ESTIMATES}
     n_shards = (n_pulses + shard_size - 1) // shard_size
     children = np.random.SeedSequence(seed).spawn(n_shards)
-    tables = None if isinstance(strategy, Baseline) else _resend_click_tables(strategy, params)
+    table = None if isinstance(strategy, Baseline) else _resend_click_tables(strategy, params)
     for index in range(n_shards):
         rng = np.random.default_rng(children[index])
         m = min(shard_size, n_pulses - index * shard_size)
         for stream, intensity in zip(_STREAMS, (params.mu, params.nu)):
-            if tables is None:
+            if table is None:
                 _simulate_baseline_shard(rng, params, intensity, m, tallies[stream])
             else:
                 _simulate_attack_shard(rng, params, strategy, intensity, m, tallies[stream],
-                                       resend, *tables)
+                                       resend, table)
 
     signal, decoy = tallies["signal"], tallies["decoy"]
     return EmpiricalObservables(

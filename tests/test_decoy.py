@@ -58,10 +58,10 @@ class TestBinaryEntropy:
             assert binary_entropy(x) == pytest.approx(binary_entropy(1.0 - x), rel=1e-12)
 
     def test_domain_rejected(self):
-        with pytest.raises(ValueError):
-            binary_entropy(-1e-9)
-        with pytest.raises(ValueError):
-            binary_entropy(1.0 + 1e-9)
+        # The range check, not a math domain error further on, rejects these.
+        for x in (-5e-324, -1e-9, math.nextafter(1.0, 2.0), 1.0 + 1e-9):
+            with pytest.raises(ValueError, match="binary_entropy defined on"):
+                binary_entropy(x)
 
 
 class TestY1Lower:
@@ -105,6 +105,24 @@ class TestY1Lower:
         arrive = p_arrive(FakedStateIntensities.symmetric(300.0), eff, params.dark_count)
         assert decoy_bounds(obs, params).y1_lower == pytest.approx(arrive, rel=1e-4)
 
+    def test_upper_clamp_sits_at_one(self):
+        # Gains rigged so the raw estimate is 1.4, then 0.995: the first is
+        # clamped to exactly 1, the second passes through unflagged.
+        params = GYS.replace(distance=100.0)
+        mu, nu, d = params.mu, params.nu, params.dark_count
+        q_mu = 1e-3
+
+        def q_nu_for(raw_y1):
+            return (raw_y1 * (mu * nu - nu**2) / mu + q_mu * math.exp(mu) * nu**2 / mu**2
+                    + (mu**2 - nu**2) / mu**2 * d) * math.exp(-nu)
+
+        bounds = decoy_bounds(obs_with(q_mu, q_nu_for(1.4), 1e-5, 1e-4), params)
+        assert bounds.y1_lower == 1.0 and bounds.y1_clamped
+        assert bounds.q1_lower == q1_lower(1.0, mu)
+        bounds = decoy_bounds(obs_with(q_mu, q_nu_for(0.995), 1e-5, 1e-4), params)
+        assert bounds.y1_lower == pytest.approx(0.995, rel=1e-9)
+        assert not bounds.y1_clamped
+
     def test_clamping_flagged(self):
         params = GYS.replace(distance=100.0)
         # Gains rigged so the raw estimate is negative.
@@ -134,8 +152,9 @@ class TestQ1Lower:
         )
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            q1_lower(1.1, 0.48)
+        for y1 in (-5e-324, 1.1, math.nextafter(1.0, 2.0)):
+            with pytest.raises(ValueError, match="y1 must be in"):
+                q1_lower(y1, 0.48)
 
 
 class TestE1Upper:
@@ -285,5 +304,15 @@ class TestQ1Expansion:
             q1_expansion([0.5], 0.48, 0.05)
         with pytest.raises(ValueError):
             q1_expansion([0.5, 0.5], 0.05, 0.48)
-        with pytest.raises(ValueError):
-            q1_expansion([0.5, 1.5], 0.48, 0.05)
+        with pytest.raises(ValueError, match="need 0 < nu < mu"):
+            q1_expansion([0.5, 0.5], 0.48, 0.0)
+        for y in (-5e-324, math.nextafter(1.0, 2.0), 1.5):
+            with pytest.raises(ValueError, match="yields must lie in"):
+                q1_expansion([0.5, y], 0.48, 0.05)
+
+    def test_edges_of_the_domain_are_accepted(self):
+        # Two yields suffice, each may be 0 or 1, and nu may be small; the
+        # two-photon term of the series is identically zero.
+        assert q1_expansion([1.0, 0.0], 0.48, 1e-3) == pytest.approx(
+            0.48 * math.exp(-0.48), rel=1e-12)
+        assert q1_expansion([0.0, 1.0], 0.48, 0.05) == 0.0

@@ -1,5 +1,6 @@
 """Tests for the pulse-level Monte Carlo simulator."""
 
+import ast
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoy_fsa import oracle
+from decoy_fsa.cli import _analytic_quantities
 from decoy_fsa.faked_states import FakedStateIntensities, p_arrive, p_click_det0, p_click_det1, p_error
 from decoy_fsa.model import GYS, efficiency_matrix
 from decoy_fsa.observables import Baseline, PNRD, QND, observables_for
@@ -34,6 +36,31 @@ def assert_within_3sigma(measured, analytic, trials, label):
         return
     z = (measured - analytic) / sigma
     assert abs(z) <= 3.0, f"{label}: measured={measured} analytic={analytic} z={z:.2f}"
+
+
+def _assert_tally_invariants(run, n_pulses):
+    """Every pulse is accounted for once, and the resend counts are consistent."""
+    for t in run.tallies.values():
+        assert t["sifted"] + t["loss"] == n_pulses
+        assert t["click0"] + t["click1"] - t["double_click"] == t["sifted"]
+        assert 0 <= t["sifted_error"] <= t["sifted"]
+        assert min(t["click0"], t["click1"], t["loss"], t["double_click"]) >= 0
+    for successes, trials in run.counts.values():
+        assert 0 <= successes <= trials
+    # Only resent pulses double-click, so the click counts overlap in them.
+    doubles = sum(t["double_click"] for t in run.tallies.values())
+    clicks = run.counts["p_click0"][0] + run.counts["p_click1"][0]
+    assert clicks - doubles == run.counts["p_arrive"][0]
+    assert run.counts["p_error"][0] <= run.counts["p_arrive"][0]
+    assert run.n_match_v0 + run.n_match_v1 <= run.n_resend
+    assert 0 <= run.n_resend <= 2 * n_pulses
+
+
+def _reach_limit(params):
+    """The largest k whose matched efficiency k*blind stays at most 1."""
+    blind = efficiency_matrix(params, 1.0).blind
+    k = 1.0 / blind
+    return k if k * blind <= 1.0 else math.nextafter(k, 0.0)
 
 
 class TestDeterminism:
@@ -130,15 +157,10 @@ class TestTrivialCases:
         params = GYS.replace(distance=1.0, dark_count=dark_count)
         with mock.patch.object(oracle, "DEFAULT_SHARD_SIZE", shard_size):  # mu < 1: shards of that size
             run = simulate_pulses(params, strategy, n_pulses, seed=seed)
-        for t in run.tallies.values():
-            assert t["sifted"] + t["loss"] == n_pulses
-            assert t["click0"] + t["click1"] - t["double_click"] == t["sifted"]
-            assert 0 <= t["sifted_error"] <= t["sifted"]
-            assert min(t["click0"], t["click1"], t["loss"]) >= 0
-            if kind == "baseline":  # one detector reading per click, no double clicks
-                assert t["double_click"] == 0
-        assert 0 <= run.n_resend <= 2 * n_pulses
-        assert kind != "baseline" or run.n_resend == 0
+        _assert_tally_invariants(run, n_pulses)
+        if kind == "baseline":  # one detector reading per click, no double clicks
+            assert run.n_resend == 0
+            assert all(t["double_click"] == 0 for t in run.tallies.values())
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -158,6 +180,44 @@ class TestTrivialCases:
         assert peak < 16e6
         for t in run.tallies.values():
             assert t["sifted"] + t["loss"] == 200_000
+
+
+class TestResendTable:
+    @pytest.mark.parametrize("dark_count", [0.0, math.nextafter(1.0, 0.0)], ids=["d=0", "d=1-ulp"])
+    @pytest.mark.parametrize("mu_prime", [0.0, 1e6])
+    @pytest.mark.parametrize("strategy_type", [QND, PNRD])
+    def test_outcome_table_at_domain_edges(self, dark_count, mu_prime, strategy_type):
+        # k at the reach limit puts the matched efficiency at 1; with d near 1
+        # or mu' at either end the (1 - q)*d and (1 - q)*(1 - d) entries are
+        # exactly zero or one rounding away from it.
+        params = GYS.replace(distance=0.0, eta_bob=1.0, dark_count=dark_count)
+        k = _reach_limit(params)
+        assert 1.0 - 1e-15 < efficiency_matrix(params, k).matched <= 1.0
+        kwargs = {} if strategy_type is QND else {"eta_e": 0.5}
+        strategy = strategy_type(mu_prime=mu_prime, k=k, **kwargs)
+        table = oracle._resend_click_tables(strategy, params)
+        assert table.shape == (36,)
+        assert (table >= 0.0).all()
+        assert abs(table.sum() - 1.0) <= 1e-12
+        # Each case holds a quarter of the resends.
+        assert np.allclose(table.reshape(4, 9).sum(axis=1), 0.25, rtol=0.0, atol=1e-15)
+        run = simulate_pulses(params, strategy, 5_000, seed=17)
+        _assert_tally_invariants(run, 5_000)
+
+    def test_oracle_imports_no_closed_form(self):
+        # The oracle checks the closed forms, so it must not compute a draw
+        # from one: it may not import them at module level or in a function.
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(part for alias in node.names for part in alias.name.split("."))
+            elif isinstance(node, ast.ImportFrom):
+                imported.update((node.module or "").split("."))
+                imported.update(alias.name for alias in node.names)
+        forbidden = {"faked_states", "security", "decoy", "observables_for", "p_single"}
+        assert not imported & forbidden, sorted(imported & forbidden)
+        assert "observables" in imported  # the walk sees the strategy import
 
 
 class TestEstimateTable:
@@ -369,6 +429,68 @@ class TestClosedFormAgreement:
         assert_within_3sigma(run.q_mu, obs.q_mu, run.n_pulses, "q_mu")
         assert_within_3sigma(run.q_nu, obs.q_nu, run.n_pulses, "q_nu")
         assert_within_3sigma(run.emu_qmu, obs.emu_qmu, run.n_pulses, "emu_qmu")
+
+
+# The attack half of the domain-wide audit: one fixed sample of the input
+# domain, drawn from this seed, which was declared before the first run and is
+# never re-drawn.  Baseline points stay out until observables_baseline counts a
+# dark count only on an unlit pulse, as the Monte Carlo does; until then its
+# additive gain fails the audit at dark_count >= 0.01.
+AUDIT_SEED = 271828
+AUDIT_POINTS = 200
+AUDIT_PULSES = 200_000
+# About 2,000 verdicts, each beyond 3 sigma with chance at most 0.27%: about 5.4
+# expected.  Were they independent, more than 16 would occur with chance 5e-5;
+# the quantities of one point share draws, which widens that spread somewhat.
+AUDIT_MAX_BEYOND_3SIGMA = 16
+_P_5SIGMA = math.erfc(5.0 / math.sqrt(2.0))
+
+
+def _audit_points():
+    """Yield (params, strategy, seed) over the domain, QND and PNRD alternately."""
+    rng = np.random.default_rng(AUDIT_SEED)
+    for index in range(AUDIT_POINTS):
+        mu = rng.uniform(0.1, 1.0)
+        params = GYS.replace(
+            mu=mu,
+            nu=mu * rng.uniform(0.05, 0.95),
+            dark_count=float(rng.choice([0.0, 1e-6, 1e-3, 1e-2, 0.1, 0.3])),
+            e_detector=float(rng.choice([0.0, 0.033, 0.2, 0.5])),
+            eta_bob=rng.uniform(0.02, 1.0),
+            distance=rng.uniform(0.0, 150.0),
+        )
+        reach = _reach_limit(params)
+        k = min(math.exp(rng.uniform(0.0, math.log(reach))), reach)
+        mu_prime = rng.uniform(0.0, 2000.0)
+        eta_e = rng.uniform(0.05, 1.0)
+        strategy = QND(mu_prime=mu_prime, k=k) if index % 2 == 0 else PNRD(
+            mu_prime=mu_prime, k=k, eta_e=eta_e)
+        yield params, strategy, int(rng.integers(2**32))
+
+
+class TestDomainAudit:
+    def test_attack_quantities_agree_across_the_domain(self):
+        # Every quantity of every point is judged by binomial_verdict.  A
+        # quantity fails at 5 sigma only when its exact binomial tail is also
+        # below 5 sigma's (chance about 1e-3 over the sample); the count
+        # beyond 3 sigma must stay near the 0.27% that 3 sigma implies.
+        verdicts, beyond, failures = 0, [], []
+        for params, strategy, seed in _audit_points():
+            run = simulate_pulses(params, strategy, AUDIT_PULSES, seed)
+            for name, analytic in _analytic_quantities(params, strategy).items():
+                successes, trials = run.counts[name]
+                sigma, z, ok = binomial_verdict(successes, trials, analytic)
+                verdicts += 1
+                if ok:
+                    continue
+                beyond.append((strategy, params, name, z))
+                exact = (not sigma or math.isnan(sigma)
+                         or oracle._binomial_two_sided_p(successes, trials, analytic) < _P_5SIGMA)
+                if abs(z) > 5.0 and exact:
+                    failures.append((strategy, params, name, successes, trials, analytic, z))
+        assert verdicts == 10 * AUDIT_POINTS
+        assert not failures, failures
+        assert len(beyond) <= AUDIT_MAX_BEYOND_3SIGMA, beyond
 
 
 class TestConvergence:

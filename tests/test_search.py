@@ -223,6 +223,14 @@ class TestKminEarlyStop:
         assert edge == {d: d >= 20.0 for d in FIG4_DISTANCES}
         assert not k_min(GYS, 250.0).on_grid_edge
 
+    @pytest.mark.parametrize("mu_prime, edge", [
+        (0.0, True), (search.COARSE_MU_MAX, True), (0.01, False), (1.0, False),
+        (math.nextafter(search.COARSE_MU_MAX, 0.0), False),
+    ])
+    def test_grid_edge_flag_at_both_ends(self, mu_prime, edge):
+        # No GYS point puts the argmax at mu' = 0, so the lower end is pinned here.
+        assert search.KminResult(50.0, 20.0, mu_prime, True).on_grid_edge is edge
+
 
 class TestSweepGrid:
     def test_single_cell_matches_direct_pipeline(self):
