@@ -184,7 +184,7 @@ def _check_output_paths(args: argparse.Namespace) -> None:
                 raise ConfigError(f"--{name} {path!r} is a directory")
             if not os.path.isdir(parent := os.path.dirname(path) or "."):
                 raise ConfigError(f"--{name} {path!r}: {parent!r} is not a directory")
-            if os.path.realpath(path) == config:
+            if config and os.path.realpath(path) == config:
                 raise ConfigError(f"--{name} {path!r} would overwrite the --config file")
     manifest = getattr(args, "manifest", None)
     if manifest and os.path.realpath(manifest) == os.path.realpath(args.out or _VALIDATE_CSV):

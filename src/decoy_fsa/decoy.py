@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import security
 from .model import SystemParams
-from .observables import AttackStrategy, Observables, PNRD, observables_for
+from .observables import PNRD, AttackStrategy, Observables, checked_qber, rates_for
+from .observables import observables_for  # noqa: F401 -- a name bench/tracing.py binds here
 
 
 @dataclass(frozen=True)
@@ -33,18 +34,36 @@ class DecoyBounds:
         return math.isinf(self.e1_upper)
 
 
-@dataclass(frozen=True)
-class RateReport:
-    """One evaluation of the full pipeline; ``r_absolute`` is NaN unless the strategy is PNRD."""
+class RateReport(NamedTuple):
+    """One evaluation of the full pipeline; ``r_absolute`` is NaN unless the strategy is PNRD.
 
-    observables: Observables
-    bounds: DecoyBounds
+    The fields are the four observables, the four bound fields, the rate and
+    ``r_absolute``; ``observables`` and ``bounds`` build the records when read.
+    """
+
+    q_mu: float
+    q_nu: float
+    emu_qmu: float
+    enu_qnu: float
+    y1_lower: float
+    q1_lower: float
+    e1_upper: float
+    y1_clamped: bool
     rate: float
     r_absolute: float
 
     @property
+    def observables(self) -> Observables:
+        return Observables(*self[:4])
+
+    @property
+    def bounds(self) -> DecoyBounds:
+        return DecoyBounds(*self[4:8])
+
+    @property
     def flags(self) -> tuple[str, ...]:
-        fired = (("clamped_y1", self.bounds.y1_clamped), ("unbounded_e1", self.bounds.e1_unbounded))
+        bounds = self.bounds
+        fired = (("clamped_y1", bounds.y1_clamped), ("unbounded_e1", bounds.e1_unbounded))
         return tuple(name for name, on in fired if on)
 
 
@@ -57,20 +76,6 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _y1_raw(obs: Observables, params: SystemParams) -> float:
-    """Weak+vacuum lower bound on the single-photon yield, before clamping."""
-    mu, nu, d = params.mu, params.nu, params.dark_count
-    return (
-        mu
-        / (mu * nu - nu**2)
-        * (
-            obs.q_nu * math.exp(nu)
-            - obs.q_mu * math.exp(mu) * nu**2 / mu**2
-            - (mu**2 - nu**2) / mu**2 * d
-        )
-    )
-
-
 def q1_lower(y1: float, mu: float) -> float:
     """Lower bound on the single-photon gain, mu*exp(-mu)*Y1."""
     if not 0.0 <= y1 <= 1.0:
@@ -78,23 +83,40 @@ def q1_lower(y1: float, mu: float) -> float:
     return mu * math.exp(-mu) * y1
 
 
-def e1_upper(obs: Observables, y1: float, params: SystemParams) -> float:
-    """Upper bound on the single-photon error rate; +inf when y1 == 0."""
+def _e1_upper(enu_qnu: float, exp_nu: float, y1: float, params: SystemParams) -> float:
     if y1 <= 0.0:
         return math.inf
-    nu, d = params.nu, params.dark_count
-    return (obs.enu_qnu * math.exp(nu) - 0.5 * d) / (y1 * nu)
+    return (enu_qnu * exp_nu - 0.5 * params.dark_count) / (y1 * params.nu)
+
+
+def e1_upper(obs: Observables, y1: float, params: SystemParams) -> float:
+    """Upper bound on the single-photon error rate; +inf when y1 == 0."""
+    return _e1_upper(obs.enu_qnu, math.exp(params.nu), y1, params)
+
+
+def _bounds(
+    q_mu: float, q_nu: float, enu_qnu: float, params: SystemParams
+) -> tuple[float, float, float, bool]:
+    """The :class:`DecoyBounds` fields; Y1 is the weak+vacuum bound clamped to [0, 1]."""
+    mu, nu, d = params.mu, params.nu, params.dark_count
+    mu2, nu2, exp_nu = mu**2, nu**2, math.exp(nu)
+    raw_y1 = (
+        mu / (mu * nu - nu2)
+        * (q_nu * exp_nu - q_mu * math.exp(mu) * nu2 / mu2 - (mu2 - nu2) / mu2 * d)
+    )
+    y1 = min(max(raw_y1, 0.0), 1.0)
+    return y1, q1_lower(y1, mu), _e1_upper(enu_qnu, exp_nu, y1, params), raw_y1 != y1
 
 
 def decoy_bounds(obs: Observables, params: SystemParams) -> DecoyBounds:
     """Run the bound estimators and record the clamp/divergence flags."""
-    raw_y1 = _y1_raw(obs, params)
-    y1 = min(max(raw_y1, 0.0), 1.0)
-    return DecoyBounds(
-        y1_lower=y1,
-        q1_lower=q1_lower(y1, params.mu),
-        e1_upper=e1_upper(obs, y1, params),
-        y1_clamped=raw_y1 != y1,
+    return DecoyBounds(*_bounds(obs.q_mu, obs.q_nu, obs.enu_qnu, params))
+
+
+def _key_rate(q_mu: float, e_mu: float, q1: float, e1_raw: float, params: SystemParams) -> float:
+    e1 = min(max(e1_raw, 0.0), 0.5)
+    return params.q_sift * (
+        -q_mu * params.f_ec * binary_entropy(e_mu) + q1 * (1.0 - binary_entropy(e1))
     )
 
 
@@ -104,11 +126,7 @@ def key_rate(obs: Observables, bounds: DecoyBounds, params: SystemParams) -> flo
     The single-photon error bound is clamped to [0, 1/2]: past 1/2 the privacy
     amplification term is already zero and the entropy would turn back down.
     """
-    e1 = min(max(bounds.e1_upper, 0.0), 0.5)
-    return params.q_sift * (
-        -obs.q_mu * params.f_ec * binary_entropy(obs.e_mu)
-        + bounds.q1_lower * (1.0 - binary_entropy(e1))
-    )
+    return _key_rate(obs.q_mu, obs.e_mu, bounds.q1_lower, bounds.e1_upper, params)
 
 
 def q1_expansion(yields: Sequence[float], mu: float, nu: float) -> float:
@@ -116,10 +134,13 @@ def q1_expansion(yields: Sequence[float], mu: float, nu: float) -> float:
 
     ``yields[i-1]`` is the yield of an i-photon pulse, i = 1..N.  Every term
     with i >= 2 is non-positive for nu < mu, which is what makes blocking all
-    multi-photon pulses optimal for the eavesdropper.
+    multi-photon pulses optimal for the eavesdropper.  nu**2 must be a normal
+    float: below that the series loses its digits and then its value.
     """
     if not 0.0 < nu < mu:
         raise ValueError(f"need 0 < nu < mu, got nu={nu}, mu={mu}")
+    if nu**2 < 2.0**-1022:  # the smallest normal float
+        raise ValueError(f"nu={nu} is too small: nu**2 underflows")
     if len(yields) < 2:
         raise ValueError("need yields up to photon number 2 at least")
     for y in yields:
@@ -133,9 +154,10 @@ def q1_expansion(yields: Sequence[float], mu: float, nu: float) -> float:
 
 
 def evaluate(params: SystemParams, strategy: AttackStrategy) -> RateReport:
-    """Full pipeline: observables -> decoy bounds -> rate (-> residual secure rate)."""
-    obs = observables_for(params, strategy)
-    bounds = decoy_bounds(obs, params)
-    rate = key_rate(obs, bounds, params)
-    r_abs = security.r_absolute_for(params, strategy) if isinstance(strategy, PNRD) else math.nan
-    return RateReport(observables=obs, bounds=bounds, rate=rate, r_absolute=r_abs)
+    """Full pipeline in one pass: observables -> decoy bounds -> rate (-> residual secure rate)."""
+    q_mu, q_nu, emu_qmu, enu_qnu, attacked_mu, blind_dark = rates_for(params, strategy)
+    e_mu = checked_qber(q_mu, q_nu, emu_qmu, enu_qnu)
+    y1, q1, e1, clamped = _bounds(q_mu, q_nu, enu_qnu, params)
+    rate = _key_rate(q_mu, e_mu, q1, e1, params)
+    r_abs = security.r_absolute(attacked_mu, blind_dark) if isinstance(strategy, PNRD) else math.nan
+    return RateReport(q_mu, q_nu, emu_qmu, enu_qnu, y1, q1, e1, clamped, rate, r_abs)

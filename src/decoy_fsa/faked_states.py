@@ -35,21 +35,20 @@ class FakedStateIntensities:
         return cls(mu_prime)
 
 
-def _no_light(fs: FakedStateIntensities, eff: EfficiencyMatrix) -> tuple[float, ...]:
+def no_light(mu_prime: float, matched: float, blind: float) -> tuple[float, float, float, float]:
     """Chances of no light at a detector: at half amplitude and the matched or the blind
     efficiency, at full amplitude and the blind one, and at both detectors of a split resend."""
-    mu = fs.mu_prime
     return (
-        exp(-0.5 * mu * eff.matched),
-        exp(-0.5 * mu * eff.blind),
-        exp(-mu * eff.blind),
-        exp(-0.5 * mu * eff.matched - 0.5 * mu * eff.blind),
+        exp(-0.5 * mu_prime * matched),
+        exp(-0.5 * mu_prime * blind),
+        exp(-mu_prime * blind),
+        exp(-0.5 * mu_prime * matched - 0.5 * mu_prime * blind),
     )
 
 
 def p_click_det0(fs: FakedStateIntensities, eff: EfficiencyMatrix, d: float) -> float:
     """Probability that Bob's detector 0 clicks on a resent faked state."""
-    half_matched, half_blind, full_blind, _ = _no_light(fs, eff)
+    half_matched, half_blind, full_blind, _ = no_light(fs.mu_prime, eff.matched, eff.blind)
     return 0.75 + 0.25 * d - 0.25 * (1.0 - d) * (half_matched + half_blind + full_blind)
 
 
@@ -58,16 +57,30 @@ def p_click_det1(fs: FakedStateIntensities, eff: EfficiencyMatrix, d: float) -> 
     return p_click_det0(fs, eff, d)
 
 
+def arrive_error(dark: tuple[float, ...], d: float) -> tuple[float, float]:
+    """:func:`p_arrive` and :func:`p_error` from the :func:`no_light` chances ``dark``."""
+    half_matched, half_blind, full_blind, split = dark
+    quiet = 1.0 - d  # no dark count at one detector
+    quiet2 = quiet**2
+    full_arm = full_blind + full_blind
+    split_arms = split + split
+    arrive = (
+        1.0 - 0.25 * quiet * full_arm + 0.25 * d * quiet * full_arm - 0.25 * quiet2 * split_arms
+    )
+    error = (
+        0.125 * quiet * (
+            half_matched + half_matched - half_blind - half_blind - full_blind - full_blind
+        )
+        - 0.125 * quiet2 * split_arms
+        + 0.125 * d * quiet * full_arm
+        + 0.5
+    )
+    return arrive, error
+
+
 def p_arrive(fs: FakedStateIntensities, eff: EfficiencyMatrix, d: float) -> float:
     """Total probability that a resent faked state produces any click at Bob."""
-    _, _, full_blind, split = _no_light(fs, eff)
-    full_arm = full_blind + full_blind
-    return (
-        1.0
-        - 0.25 * (1.0 - d) * full_arm
-        + 0.25 * d * (1.0 - d) * full_arm
-        - 0.25 * (1.0 - d) ** 2 * (split + split)
-    )
+    return arrive_error(no_light(fs.mu_prime, eff.matched, eff.blind), d)[0]
 
 
 def p_error(fs: FakedStateIntensities, eff: EfficiencyMatrix, d: float) -> float:
@@ -75,12 +88,4 @@ def p_error(fs: FakedStateIntensities, eff: EfficiencyMatrix, d: float) -> float
 
     Double clicks resolve to a random bit and therefore carry half weight.
     """
-    half_matched, half_blind, full_blind, split = _no_light(fs, eff)
-    return (
-        0.125 * (1.0 - d) * (
-            half_matched + half_matched - half_blind - half_blind - full_blind - full_blind
-        )
-        - 0.125 * (1.0 - d) ** 2 * (split + split)
-        + 0.125 * d * (1.0 - d) * (full_blind + full_blind)
-        + 0.5
-    )
+    return arrive_error(no_light(fs.mu_prime, eff.matched, eff.blind), d)[1]

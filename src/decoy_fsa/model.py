@@ -35,7 +35,7 @@ class SystemParams:
         dark_count: dark count probability per gate.
         eta_bob: Bob-side transmittance.
         mu: signal-state mean photon number (below 709.78, where exp(mu) overflows).
-        nu: decoy-state mean photon number (0 < nu < mu).
+        nu: decoy-state mean photon number (0 < nu < mu, and mu*nu - nu**2 > 0 in floats).
         f_ec: bidirectional error-correction efficiency factor.
         q_sift: sifting factor (1/2 for symmetric basis choice).
         e_detector: intrinsic detector error probability.
@@ -59,6 +59,8 @@ class SystemParams:
                 f"need 0 < nu < mu < {mu_max:.2f} (single-photon yield bound), "
                 f"got nu={self.nu}, mu={self.mu}"
             )
+        if not self.mu * self.nu - self.nu**2 > 0.0:  # the bound divides by it
+            raise ConfigError(f"nu={self.nu} is too small: mu*nu - nu**2 rounds to 0")
         if not 0.0 <= self.dark_count < 1.0:
             raise ConfigError(f"dark_count must be in [0, 1), got {self.dark_count}")
         if not 0.0 < self.eta_bob <= 1.0:
@@ -130,8 +132,8 @@ def channel_transmittance(alpha: float, distance: float) -> float:
     return 10.0 ** (-alpha * distance / 10.0)
 
 
-def efficiency_matrix(params: SystemParams, k: float) -> EfficiencyMatrix:
-    """Efficiency matrix for mismatch ratio ``k`` at the distance stored in ``params``.
+def efficiencies(params: SystemParams, k: float) -> tuple[float, float]:
+    """The (matched, blind) efficiencies for mismatch ratio ``k`` at the distance in ``params``.
 
     The blind efficiency sits at the floor t_AB*eta_bob*BLIND_FLOOR; the
     matched one is k times larger.  The floor must be a normal
@@ -147,4 +149,9 @@ def efficiency_matrix(params: SystemParams, k: float) -> EfficiencyMatrix:
     eta_matched = k * eta_blind
     if eta_matched > 1.0:
         raise ValueError(f"k*blind = {eta_matched} exceeds 1 (unphysical efficiency)")
-    return EfficiencyMatrix(eta_matched, eta_blind)
+    return eta_matched, eta_blind
+
+
+def efficiency_matrix(params: SystemParams, k: float) -> EfficiencyMatrix:
+    """:func:`efficiencies` as a record."""
+    return EfficiencyMatrix(*efficiencies(params, k))

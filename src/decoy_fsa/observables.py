@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, inf
+from math import exp, inf, nan
 from typing import ClassVar, Union
 
 from . import faked_states
-from .model import SystemParams, channel_transmittance, efficiency_matrix
+from .model import SystemParams, channel_transmittance, efficiencies
+from .model import efficiency_matrix  # noqa: F401 -- a name bench/tracing.py binds here
 
 _SLACK = 1e-12
 
@@ -84,23 +85,25 @@ class Observables:
     enu_qnu: float
 
     def __post_init__(self) -> None:
-        if self.q_mu <= 0.0:
-            raise DegenerateObservablesError("signal gain is zero; QBER undefined")
-        for err, gain, tag in (
-            (self.emu_qmu, self.q_mu, "mu"),
-            (self.enu_qnu, self.q_nu, "nu"),
-        ):
-            if err < -_SLACK or err > gain + _SLACK or gain > 1.0 + _SLACK:
-                raise ValueError(
-                    f"need 0 <= E_{tag}*Q_{tag} <= Q_{tag} <= 1, got ({err}, {gain})"
-                )
-        if not -_SLACK <= self.e_mu <= 1.0 + _SLACK:
-            raise ValueError(f"QBER must be in [0, 1], got {self.e_mu}")
+        checked_qber(self.q_mu, self.q_nu, self.emu_qmu, self.enu_qnu)
 
     @property
     def e_mu(self) -> float:
         """The overall QBER emu_qmu/q_mu of the signal state."""
         return self.emu_qmu / self.q_mu
+
+
+def checked_qber(q_mu: float, q_nu: float, emu_qmu: float, enu_qnu: float) -> float:
+    """The signal QBER emu_qmu/q_mu, once the four rates pass the :class:`Observables` checks."""
+    if q_mu <= 0.0:
+        raise DegenerateObservablesError("signal gain is zero; QBER undefined")
+    for err, gain, tag in ((emu_qmu, q_mu, "mu"), (enu_qnu, q_nu, "nu")):
+        if err < -_SLACK or err > gain + _SLACK or gain > 1.0 + _SLACK:
+            raise ValueError(f"need 0 <= E_{tag}*Q_{tag} <= Q_{tag} <= 1, got ({err}, {gain})")
+    e_mu = emu_qmu / q_mu
+    if not -_SLACK <= e_mu <= 1.0 + _SLACK:
+        raise ValueError(f"QBER must be in [0, 1], got {e_mu}")
+    return e_mu
 
 
 def p_single(mu: float, eta_e: float) -> float:
@@ -116,15 +119,15 @@ def p_single(mu: float, eta_e: float) -> float:
     return mu * eta_e * exp(-mu * eta_e)
 
 
-def _attack_observables(
+def _attack_gains(
     arrive: float,
     error: float,
     attacked_mu: float,
     attacked_nu: float,
     d: float,
     e_detector: float,
-) -> Observables:
-    """Assemble observables from resend statistics and per-intensity attack fractions.
+) -> tuple[float, float, float, float]:
+    """The four observables from resend statistics and per-intensity attack fractions.
 
     Pulses the eavesdropper does not resend reach Bob as vacuum and click only
     via the dark count probability d, erring half the time.  The attack leaves
@@ -139,26 +142,26 @@ def _attack_observables(
     enu_qnu = error * attacked_nu + 0.5 * (1.0 - attacked_nu) * d
     emu_qmu = (1.0 - 2.0 * e_detector) * emu_qmu + e_detector * q_mu
     enu_qnu = (1.0 - 2.0 * e_detector) * enu_qnu + e_detector * q_nu
-    return Observables(q_mu=q_mu, q_nu=q_nu, emu_qmu=emu_qmu, enu_qnu=enu_qnu)
+    return q_mu, q_nu, emu_qmu, enu_qnu
 
 
-def observables_pnrd(params: SystemParams, strategy: QND | PNRD) -> Observables:
-    """Observables when resends are gated on a measured photon count of one.
+def _resend_rates(params: SystemParams, strategy: QND | PNRD) -> tuple[float, ...]:
+    """:func:`rates_for` when resends are gated on a measured photon count of one.
 
     The QND strategy is the case eta_e = 1, where p_single(mu, 1) = mu*exp(-mu)
     attacks every true single-photon pulse.
     """
-    eff = efficiency_matrix(params, strategy.k)
-    fs = faked_states.FakedStateIntensities.symmetric(strategy.mu_prime)
+    matched, blind = efficiencies(params, strategy.k)
+    dark = faked_states.no_light(strategy.mu_prime, matched, blind)
     d = params.dark_count
-    arrive = faked_states.p_arrive(fs, eff, d)
-    error = faked_states.p_error(fs, eff, d)
+    arrive, error = faked_states.arrive_error(dark, d)
     attacked_mu = p_single(params.mu, strategy.eta_e)
     attacked_nu = p_single(params.nu, strategy.eta_e)
-    return _attack_observables(arrive, error, attacked_mu, attacked_nu, d, params.e_detector)
+    gains = _attack_gains(arrive, error, attacked_mu, attacked_nu, d, params.e_detector)
+    return (*gains, attacked_mu, dark[2])
 
 
-def observables_baseline(params: SystemParams) -> Observables:
+def _baseline_gains(params: SystemParams) -> tuple[float, float, float, float]:
     """Observables of the undisturbed linear channel (Ma, Qi, Zhao & Lo, PRA 72, 012326).
 
     Q_x = d + 1 - exp(-eta*x) and E_x*Q_x = d/2 + e_detector*(1 - exp(-eta*x))
@@ -169,20 +172,42 @@ def observables_baseline(params: SystemParams) -> Observables:
     """
     eta = channel_transmittance(params.alpha, params.distance) * params.eta_bob
     d = params.dark_count
-    q_mu = d + 1.0 - exp(-eta * params.mu)
-    q_nu = d + 1.0 - exp(-eta * params.nu)
-    emu_qmu = 0.5 * d + params.e_detector * (1.0 - exp(-eta * params.mu))
-    enu_qnu = 0.5 * d + params.e_detector * (1.0 - exp(-eta * params.nu))
-    return Observables(q_mu=q_mu, q_nu=q_nu, emu_qmu=emu_qmu, enu_qnu=enu_qnu)
+    unlit_mu = exp(-eta * params.mu)
+    unlit_nu = exp(-eta * params.nu)
+    q_mu = d + 1.0 - unlit_mu
+    q_nu = d + 1.0 - unlit_nu
+    emu_qmu = 0.5 * d + params.e_detector * (1.0 - unlit_mu)
+    enu_qnu = 0.5 * d + params.e_detector * (1.0 - unlit_nu)
+    return q_mu, q_nu, emu_qmu, enu_qnu
+
+
+def rates_for(params: SystemParams, strategy: AttackStrategy) -> tuple[float, ...]:
+    """The observables as floats (q_mu, q_nu, emu_qmu, enu_qnu), unchecked, then two resend terms.
+
+    The two are the attacked share p_single(mu, eta_e) of signal pulses and the
+    chance that a full-amplitude resend leaves its blind detector dark, which the
+    residual secure rate reads; both are NaN for the baseline.
+    """
+    if isinstance(strategy, _ResendAttack):
+        return _resend_rates(params, strategy)
+    if isinstance(strategy, Baseline):
+        return (*_baseline_gains(params), nan, nan)
+    raise TypeError(f"unknown strategy type: {type(strategy).__name__}")
+
+
+def observables_pnrd(params: SystemParams, strategy: QND | PNRD) -> Observables:
+    """Observables when resends are gated on a measured photon count of one."""
+    return Observables(*_resend_rates(params, strategy)[:4])
+
+
+def observables_baseline(params: SystemParams) -> Observables:
+    """Observables of the undisturbed linear channel."""
+    return Observables(*_baseline_gains(params))
 
 
 def observables_for(params: SystemParams, strategy: AttackStrategy) -> Observables:
     """Dispatch to the per-strategy observable model."""
-    if isinstance(strategy, Baseline):
-        return observables_baseline(params)
-    if isinstance(strategy, _ResendAttack):
-        return observables_pnrd(params, strategy)
-    raise TypeError(f"unknown strategy type: {type(strategy).__name__}")
+    return Observables(*rates_for(params, strategy)[:4])
 
 
 def strategy_label(strategy: AttackStrategy) -> str:

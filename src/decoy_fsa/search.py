@@ -7,10 +7,9 @@ evaluations merge identically.
 
 from __future__ import annotations
 
-import csv
 import math
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .decoy import evaluate
 from .model import SystemParams
@@ -29,7 +28,7 @@ COARSE_MU_STEP = 10.0
 COARSE_MU_MAX = 2000.0
 FINE_MU_STEP = 1.0
 
-FLOAT_FMT = "{:.17g}"
+FLOAT_FMT = "%.17g"
 
 
 class KminResult(NamedTuple):
@@ -184,11 +183,11 @@ def scan_row_for(params: SystemParams, strategy: AttackStrategy) -> ScanRow:
     return ScanRow(
         strategy=label,
         distance=params.distance,
-        q_mu=report.observables.q_mu,
+        q_mu=report.q_mu,
         e_mu=report.observables.e_mu,
-        y1_lower=report.bounds.y1_lower,
-        q1_lower=report.bounds.q1_lower,
-        e1_upper=report.bounds.e1_upper,
+        y1_lower=report.y1_lower,
+        q1_lower=report.q1_lower,
+        e1_upper=report.e1_upper,
         rate=report.rate,
         r_absolute=report.r_absolute,
         flags="|".join(report.flags),
@@ -202,18 +201,30 @@ def distance_scan(
     return [scan_row_for(params.replace(distance=distance), strategy) for distance in l_values]
 
 
-def _cell(value: object) -> str:
+def _text(value: object) -> str:
+    """A cell that is not a float: true/false for a bool, else its text, quoted as CSV needs."""
     if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return FLOAT_FMT.format(value)
-    return str(value)
+        return "true" if value else "false"
+    text = str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[tuple]) -> None:
-    """Write rows with the documented header; floats carry 17 significant digits."""
+def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[tuple]) -> None:
+    """Write rows with the documented header; floats carry 17 significant digits.
+
+    The first row sets which columns hold floats; other cells go through
+    :func:`_text`.  Lines end in CRLF, as the csv module's writer ends them.
+    """
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
+        handle.write(",".join(map(_text, header)) + "\r\n")
+        if not rows:
+            return
+        line = ",".join(FLOAT_FMT if isinstance(v, float) else "%s" for v in rows[0]) + "\r\n"
+        texts = [i for i, value in enumerate(rows[0]) if not isinstance(value, float)]
         for row in rows:
-            writer.writerow([_cell(value) for value in row])
+            cells = list(row)
+            for i in texts:
+                cells[i] = _text(cells[i])
+            handle.write(line % tuple(cells))

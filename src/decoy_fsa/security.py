@@ -10,9 +10,8 @@ are symmetric), r1 and s0, which set the residual absolutely-secure rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp
 
-from .faked_states import FakedStateIntensities
+from .faked_states import FakedStateIntensities, no_light
 from .model import EfficiencyMatrix, SystemParams, efficiency_matrix
 from .observables import PNRD, QND, p_single
 
@@ -35,20 +34,29 @@ class Table1Probs:
 
 def table1_probs(fs: FakedStateIntensities, eff: EfficiencyMatrix) -> Table1Probs:
     """Outcome probabilities of the basis-mismatch resend cases."""
-    blind_arm = 1.0 - exp(-fs.mu_prime * eff.blind)
+    blind_arm = 1.0 - no_light(fs.mu_prime, eff.matched, eff.blind)[2]
     return Table1Probs(r1=blind_arm, s0=blind_arm)
 
 
-def r_absolute_for(params: SystemParams, strategy: PNRD | QND) -> float:
+def r_absolute(attacked: float, blind_dark: float) -> float:
     """Per-pulse rate of key bits the eavesdropper cannot know.
 
     (1/8)*p_att*(r1 + s0): the 1/4 chance that her basis differs from both
     parties', times the 1/2 per-case secure fraction, times the probability
-    p_att that she mounted the resend at all; r1 and s0 come from the outcome
-    table of the strategy's own faked states.  ``decoy.evaluate`` reports it
-    for PNRD only, and NaN for QND (the case eta_e = 1) and the baseline.
+    ``attacked`` = p_att that she mounted the resend at all.  r1 = s0 =
+    1 - ``blind_dark``, the chance that a full-amplitude resend lights its blind
+    detector.
+    """
+    blind_arm = 1.0 - blind_dark
+    return 0.125 * attacked * (blind_arm + blind_arm)
+
+
+def r_absolute_for(params: SystemParams, strategy: PNRD | QND) -> float:
+    """:func:`r_absolute` of the strategy's own faked states.
+
+    ``decoy.evaluate`` reports it for PNRD only, and NaN for QND (the case
+    eta_e = 1) and the baseline.
     """
     eff = efficiency_matrix(params, strategy.k)
-    probs = table1_probs(FakedStateIntensities.symmetric(strategy.mu_prime), eff)
-    p_att = p_single(params.mu, strategy.eta_e)
-    return 0.125 * p_att * (probs.r1 + probs.s0)
+    blind_dark = no_light(strategy.mu_prime, eff.matched, eff.blind)[2]
+    return r_absolute(p_single(params.mu, strategy.eta_e), blind_dark)

@@ -19,7 +19,8 @@ def next_down(x: float) -> float:
 # Every SystemParams bound at its edge, for the GYS defaults otherwise:
 # (field, a value just inside, a value just outside).
 PARAM_EDGES = [
-    ("nu", _TINY, 0.0),
+    ("nu", next_up(_TINY), 0.0),
+    ("nu", next_up(_TINY), _TINY),  # mu*nu - nu**2 rounds to 0 at mu = 0.48
     ("nu", next_down(0.48), 0.48),  # below mu
     ("mu", next_down(_MU_MAX), _MU_MAX),
     ("dark_count", 0.0, -_TINY),

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, recipes, determinism."""
 
 import csv
+import gzip
 import importlib.util
 import json
 import os
@@ -492,14 +493,15 @@ class TestValidate:
 
 
 class TestRecipeReferences:
+    RECIPES = {"fig2": "sweep", "fig3": "scan", "fig4": "kmin", "fig6": "scan", "fig7": "scan"}
+
     def test_recipe_csvs_match_bench_references(self, tmp_path):
         # The benchmark's own gate: floats within rtol 1e-6 / atol 1e-15, flags exact.
         spec = importlib.util.spec_from_file_location("bench_checks", BENCH / "checks.py")
         checks = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(checks)
-        recipes = {"fig2": "sweep", "fig3": "scan", "fig4": "kmin", "fig6": "scan", "fig7": "scan"}
         problems = {}
-        for fig, command in recipes.items():
+        for fig, command in self.RECIPES.items():
             out = tmp_path / f"{fig}.csv"
             assert main([command, "--recipe", fig, "--out", str(out)]) == EXIT_OK
             found = checks.compare_csv(checks.read_csv(out),
@@ -507,6 +509,16 @@ class TestRecipeReferences:
             if found:
                 problems[fig] = found
         assert not problems
+
+    def test_recipe_csvs_are_byte_identical_to_bench_references(self, tmp_path):
+        # A last-digit drift passes the rtol gate above; the recipes' bytes do not move.
+        differ = []
+        for fig, command in self.RECIPES.items():
+            out = tmp_path / f"{fig}.csv"
+            assert main([command, "--recipe", fig, "--out", str(out)]) == EXIT_OK
+            if out.read_bytes() != gzip.decompress((BENCH / "ref" / f"{fig}.csv.gz").read_bytes()):
+                differ.append(fig)
+        assert not differ
 
 
 class TestStartup:

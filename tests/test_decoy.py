@@ -1,6 +1,7 @@
 """Tests for the decoy-state bounds, GLLP rate, and the gain series expansion."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -132,9 +133,10 @@ class TestY1Lower:
         assert bounds.y1_clamped
         assert bounds.e1_unbounded
         # No physical GYS point fires these flags, so the report reads them here.
-        report = RateReport(observables=obs, bounds=bounds,
+        report = RateReport(*astuple(obs), *astuple(bounds),
                             rate=key_rate(obs, bounds, params), r_absolute=math.nan)
         assert report.flags == ("clamped_y1", "unbounded_e1")
+        assert report.observables == obs and report.bounds == bounds
 
 
 class TestQ1Lower:
@@ -309,6 +311,16 @@ class TestQ1Expansion:
         for y in (-5e-324, math.nextafter(1.0, 2.0), 1.5):
             with pytest.raises(ValueError, match="yields must lie in"):
                 q1_expansion([0.5, y], 0.48, 0.05)
+
+    def test_nu_squared_must_be_a_normal_float(self):
+        # nu**2 reaches the smallest normal float at nu = 1.4917e-154; below it the
+        # series lost its digits, and then its value (0.0 at 1e-300, ZeroDivisionError
+        # at 5e-324).
+        assert q1_expansion([0.5, 0.5], 0.48, 1.495e-154) == pytest.approx(
+            0.5 * 0.48 * math.exp(-0.48), rel=1e-12)
+        for nu in (1.49e-154, 1e-300, 5e-324):
+            with pytest.raises(ValueError, match=r"nu=\S+ is too small"):
+                q1_expansion([0.5, 0.5], 0.48, nu)
 
     def test_edges_of_the_domain_are_accepted(self):
         # Two yields suffice, each may be 0 or 1, and nu may be small; the

@@ -13,7 +13,7 @@ from decoy_fsa.observables import (
     Observables,
     PNRD,
     QND,
-    _attack_observables,
+    _attack_gains,
     observables_baseline,
     observables_for,
     observables_pnrd,
@@ -88,9 +88,9 @@ class TestQndObservables:
 
     def test_perfect_resend_limit(self):
         # Forcing unit arrival and zero error leaves the bare single-photon gain.
-        obs = _attack_observables(
+        obs = Observables(*_attack_gains(
             1.0, 0.0, 0.48 * math.exp(-0.48), 0.05 * math.exp(-0.05), 0.0, 0.0
-        )
+        ))
         assert obs.q_mu == pytest.approx(0.48 * math.exp(-0.48), rel=1e-12)
         assert obs.e_mu == 0.0
 

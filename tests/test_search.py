@@ -1,11 +1,12 @@
 """Tests for the sweep, per-distance optimum, k_min bisection, and distance scans."""
 
+import inspect
 import math
 import random
 
 import pytest
 
-from decoy_fsa import search
+from decoy_fsa import cli, search
 from decoy_fsa.decoy import evaluate
 from decoy_fsa.model import GYS
 from decoy_fsa.observables import PNRD, QND, Baseline, DegenerateObservablesError
@@ -138,6 +139,11 @@ class TestKmin:
         assert result.converged
         assert result.k_min == pytest.approx(reference, abs=1e-12)
 
+    def test_default_tolerance_is_the_kmin_commands(self):
+        # 0.5 sets fig4's dyadic step, 999/2**11; the library and the CLI share it.
+        default = inspect.signature(k_min).parameters["tol"].default
+        assert default == cli.build_parser().parse_args(["kmin"]).tol == 0.5
+
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             k_min(GYS, 50.0, tol=0.0)
@@ -223,6 +229,14 @@ class TestKminEarlyStop:
         assert edge == {d: d >= 20.0 for d in FIG4_DISTANCES}
         assert not k_min(GYS, 250.0).on_grid_edge
 
+    def test_argmax_probe_refines_down_to_zero_intensity(self):
+        # At small k the least negative rate is the dark counts' alone, at mu' = 0, so
+        # the fine grid around the coarse argmax must start at 0, not above it.
+        params = GYS.replace(distance=100.0)
+        mu_prime, rate = search._probe(params, 2.0, None, True)
+        assert mu_prime == 0.0
+        assert rate == evaluate(params, QND(mu_prime=0.0, k=2.0)).rate
+
     @pytest.mark.parametrize("mu_prime, edge", [
         (0.0, True), (search.COARSE_MU_MAX, True), (0.01, False), (1.0, False),
         (math.nextafter(search.COARSE_MU_MAX, 0.0), False),
@@ -290,6 +304,17 @@ class TestDistanceScan:
         rows = distance_scan(params, QND(mu_prime=0.0, k=310.0), (10.0, 50.0))
         assert [row.flags for row in rows] == ["degenerate", "degenerate"]
         assert all(math.isnan(row.rate) for row in rows)
+
+    def test_csv_cells(self, tmp_path):
+        # The csv module's dialect: CRLF lines, a cell quoted when it holds a comma or quote.
+        out = tmp_path / "cells.csv"
+        write_csv(out, ("a", "b", "c", "d", "e"), [
+            (math.nan, math.inf, -0.0, True, "x,y"),
+            (0.1, -math.inf, 0.0, False, 'z"'),
+        ])
+        assert out.read_bytes() == (b"a,b,c,d,e\r\n"
+                                    b'nan,inf,-0,true,"x,y"\r\n'
+                                    b'0.10000000000000001,-inf,0,false,"z"""\r\n')
 
     def test_csv_serialization(self, tmp_path):
         rows = distance_scan(GYS, Baseline(), (10.0, 100.0))
