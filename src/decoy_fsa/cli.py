@@ -58,7 +58,7 @@ def _parse_values(text: str, name: str) -> tuple[float, ...]:
         steps = (stop - start) / step + 1e-9
         if not steps < _MAX_GRID_POINTS:
             raise ValueError(f"more than {_MAX_GRID_POINTS} points")
-        return tuple(start + i * step for i in range(int(steps) + 1))
+        return tuple(min(start + i * step, stop) for i in range(int(steps) + 1))
     except ValueError as exc:
         raise ConfigError(f"invalid {name} specification {text!r}: {exc}") from exc
 

@@ -62,8 +62,7 @@ class RateReport(NamedTuple):
 
     @property
     def flags(self) -> tuple[str, ...]:
-        bounds = self.bounds
-        fired = (("clamped_y1", bounds.y1_clamped), ("unbounded_e1", bounds.e1_unbounded))
+        fired = (("clamped_y1", self.y1_clamped), ("unbounded_e1", math.isinf(self.e1_upper)))
         return tuple(name for name, on in fired if on)
 
 
@@ -83,15 +82,11 @@ def q1_lower(y1: float, mu: float) -> float:
     return mu * math.exp(-mu) * y1
 
 
-def _e1_upper(enu_qnu: float, exp_nu: float, y1: float, params: SystemParams) -> float:
+def e1_upper(enu_qnu: float, exp_nu: float, y1: float, params: SystemParams) -> float:
+    """Upper bound on the single-photon error rate, given exp_nu = exp(nu); +inf when y1 == 0."""
     if y1 <= 0.0:
         return math.inf
     return (enu_qnu * exp_nu - 0.5 * params.dark_count) / (y1 * params.nu)
-
-
-def e1_upper(obs: Observables, y1: float, params: SystemParams) -> float:
-    """Upper bound on the single-photon error rate; +inf when y1 == 0."""
-    return _e1_upper(obs.enu_qnu, math.exp(params.nu), y1, params)
 
 
 def _bounds(
@@ -105,7 +100,7 @@ def _bounds(
         * (q_nu * exp_nu - q_mu * math.exp(mu) * nu2 / mu2 - (mu2 - nu2) / mu2 * d)
     )
     y1 = min(max(raw_y1, 0.0), 1.0)
-    return y1, q1_lower(y1, mu), _e1_upper(enu_qnu, exp_nu, y1, params), raw_y1 != y1
+    return y1, q1_lower(y1, mu), e1_upper(enu_qnu, exp_nu, y1, params), raw_y1 != y1
 
 
 def decoy_bounds(obs: Observables, params: SystemParams) -> DecoyBounds:

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp
 
-from .model import EfficiencyMatrix
-
 
 @dataclass(frozen=True)
 class FakedStateIntensities:
@@ -46,13 +44,13 @@ def no_light(mu_prime: float, matched: float, blind: float) -> tuple[float, floa
     )
 
 
-def p_click_det0(fs: FakedStateIntensities, eff: EfficiencyMatrix, d: float) -> float:
+def p_click_det0(fs: FakedStateIntensities, eff: tuple[float, float], d: float) -> float:
     """Probability that Bob's detector 0 clicks on a resent faked state."""
-    half_matched, half_blind, full_blind, _ = no_light(fs.mu_prime, eff.matched, eff.blind)
+    half_matched, half_blind, full_blind, _ = no_light(fs.mu_prime, *eff)
     return 0.75 + 0.25 * d - 0.25 * (1.0 - d) * (half_matched + half_blind + full_blind)
 
 
-def p_click_det1(fs: FakedStateIntensities, eff: EfficiencyMatrix, d: float) -> float:
+def p_click_det1(fs: FakedStateIntensities, eff: tuple[float, float], d: float) -> float:
     """Probability that Bob's detector 1 clicks; the mirror symmetry makes it detector 0's."""
     return p_click_det0(fs, eff, d)
 
@@ -78,14 +76,14 @@ def arrive_error(dark: tuple[float, ...], d: float) -> tuple[float, float]:
     return arrive, error
 
 
-def p_arrive(fs: FakedStateIntensities, eff: EfficiencyMatrix, d: float) -> float:
+def p_arrive(fs: FakedStateIntensities, eff: tuple[float, float], d: float) -> float:
     """Total probability that a resent faked state produces any click at Bob."""
-    return arrive_error(no_light(fs.mu_prime, eff.matched, eff.blind), d)[0]
+    return arrive_error(no_light(fs.mu_prime, *eff), d)[0]
 
 
-def p_error(fs: FakedStateIntensities, eff: EfficiencyMatrix, d: float) -> float:
+def p_error(fs: FakedStateIntensities, eff: tuple[float, float], d: float) -> float:
     """Joint probability that a resent faked state clicks and yields a wrong bit.
 
     Double clicks resolve to a random bit and therefore carry half weight.
     """
-    return arrive_error(no_light(fs.mu_prime, eff.matched, eff.blind), d)[1]
+    return arrive_error(no_light(fs.mu_prime, *eff), d)[1]

@@ -2,7 +2,7 @@
 
 Everything downstream (attack observables, decoy bounds, key rates, the Monte
 Carlo validator) is driven by two inputs defined here: a :class:`SystemParams`
-record holding the link constants, and the :class:`EfficiencyMatrix` that
+record holding the link constants, and the (matched, blind) pair that
 :func:`efficiency_matrix` builds from them and a mismatch ratio k: the two
 equivalent transmission-and-detection efficiencies a faked state meets, at a
 detector whose timing it matches and at one blinded at its timing.
@@ -81,11 +81,20 @@ class SystemParams:
         """Load params from a flat JSON file; absent keys keep their defaults.
 
         Every JSON number loads as a float (a huge integer as inf, which
-        ``__post_init__`` rejects by name).  Unknown keys and values that are
-        not numbers, booleans included, are rejected with the key named.
+        ``__post_init__`` rejects by name).  Unknown or repeated keys and values
+        that are not numbers, booleans included, are rejected with the key named.
         """
+
+        def unique(pairs: list[tuple[str, object]]) -> dict[str, object]:
+            seen: dict[str, object] = {}
+            for key, value in pairs:
+                if key in seen:
+                    raise ConfigError(f"repeated parameter key: {key!r}")
+                seen[key] = value
+            return seen
+
         try:
-            data = json.loads(Path(path).read_text(), parse_int=float)
+            data = json.loads(Path(path).read_text(), parse_int=float, object_pairs_hook=unique)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read parameter file {path}: {exc}") from exc
         if not isinstance(data, dict):
@@ -109,20 +118,6 @@ class SystemParams:
 GYS = SystemParams()
 
 
-@dataclass(frozen=True)
-class EfficiencyMatrix:
-    """The two equivalent efficiencies of the mirror-symmetric mismatch geometry.
-
-    ``matched``: a detector seeing a faked state at the timing it is sensitive
-    to; ``blind``: a detector seeing one at the timing it is blinded at.  Both
-    detectors share the two values, and matched = k * blind for mismatch
-    ratio k.  Build it with :func:`efficiency_matrix`.
-    """
-
-    matched: float
-    blind: float
-
-
 def channel_transmittance(alpha: float, distance: float) -> float:
     """Fiber transmittance 10^(-alpha*L/10) for loss ``alpha`` dB/km over L km."""
     if alpha <= 0.0:
@@ -132,13 +127,13 @@ def channel_transmittance(alpha: float, distance: float) -> float:
     return 10.0 ** (-alpha * distance / 10.0)
 
 
-def efficiencies(params: SystemParams, k: float) -> tuple[float, float]:
+def efficiency_matrix(params: SystemParams, k: float) -> tuple[float, float]:
     """The (matched, blind) efficiencies for mismatch ratio ``k`` at the distance in ``params``.
 
-    The blind efficiency sits at the floor t_AB*eta_bob*BLIND_FLOOR; the
-    matched one is k times larger.  The floor must be a normal
-    float, so that k*floor keeps the ratio k to full precision; on the GYS
-    link that holds up to about 14,395 km.
+    Both detectors share the two values.  The blind efficiency sits at the
+    floor t_AB*eta_bob*BLIND_FLOOR and the matched one is k times larger.  The
+    floor must be a normal float, so that k*floor keeps the ratio k to full
+    precision; on the GYS link that holds up to about 14,395 km.
     """
     if not k >= 1.0:
         raise ValueError(f"mismatch ratio k must be >= 1, got {k}")
@@ -150,8 +145,3 @@ def efficiencies(params: SystemParams, k: float) -> tuple[float, float]:
     if eta_matched > 1.0:
         raise ValueError(f"k*blind = {eta_matched} exceeds 1 (unphysical efficiency)")
     return eta_matched, eta_blind
-
-
-def efficiency_matrix(params: SystemParams, k: float) -> EfficiencyMatrix:
-    """:func:`efficiencies` as a record."""
-    return EfficiencyMatrix(*efficiencies(params, k))

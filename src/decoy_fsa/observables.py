@@ -7,8 +7,7 @@ from math import exp, inf, nan
 from typing import ClassVar, Union
 
 from . import faked_states
-from .model import SystemParams, channel_transmittance, efficiencies
-from .model import efficiency_matrix  # noqa: F401 -- a name bench/tracing.py binds here
+from .model import SystemParams, channel_transmittance, efficiency_matrix
 
 _SLACK = 1e-12
 
@@ -151,7 +150,7 @@ def _resend_rates(params: SystemParams, strategy: QND | PNRD) -> tuple[float, ..
     The QND strategy is the case eta_e = 1, where p_single(mu, 1) = mu*exp(-mu)
     attacks every true single-photon pulse.
     """
-    matched, blind = efficiencies(params, strategy.k)
+    matched, blind = efficiency_matrix(params, strategy.k)
     dark = faked_states.no_light(strategy.mu_prime, matched, blind)
     d = params.dark_count
     arrive, error = faked_states.arrive_error(dark, d)
@@ -193,16 +192,6 @@ def rates_for(params: SystemParams, strategy: AttackStrategy) -> tuple[float, ..
     if isinstance(strategy, Baseline):
         return (*_baseline_gains(params), nan, nan)
     raise TypeError(f"unknown strategy type: {type(strategy).__name__}")
-
-
-def observables_pnrd(params: SystemParams, strategy: QND | PNRD) -> Observables:
-    """Observables when resends are gated on a measured photon count of one."""
-    return Observables(*_resend_rates(params, strategy)[:4])
-
-
-def observables_baseline(params: SystemParams) -> Observables:
-    """Observables of the undisturbed linear channel."""
-    return Observables(*_baseline_gains(params))
 
 
 def observables_for(params: SystemParams, strategy: AttackStrategy) -> Observables:

@@ -189,27 +189,27 @@ def _resend_click_tables(strategy: QND | PNRD, params: SystemParams) -> np.ndarr
     Case index is 2*bob_matches + result, each case with probability 1/4; a
     basis-matched faked state puts all its amplitude on the opposite-bit
     detector, a mismatched one splits in half.  Detector m meets a timing-t_m
-    resend at ``eff.matched`` and the other at ``eff.blind``.  It sees light
-    with probability q and, independently, a dark count with probability d, so
-    its outcome is light, dark only or none with probabilities (q, (1 - q)*d,
-    (1 - q)*(1 - d)).  The two detectors are independent, so the table is
+    resend at the matched efficiency and the other at the blind one.  It sees
+    light with probability q and, independently, a dark count with probability
+    d, so its outcome is light, dark only or none with probabilities
+    (q, (1 - q)*d, (1 - q)*(1 - d)).  The two detectors are independent, so the table is
     1/4 * row0 (x) row1 per case, flattened in C order: entry 9*case + 3*o0 + o1.
     """
     import numpy as np
 
-    eff = efficiency_matrix(params, strategy.k)
+    matched, blind = efficiency_matrix(params, strategy.k)
     mu = strategy.mu_prime
     light = np.array([
         [
-            1.0 - math.exp(-0.5 * mu * eff.matched),   # mismatch, result 0: t0 state
-            1.0 - math.exp(-0.5 * mu * eff.blind),     # mismatch, result 1: t1 state
-            0.0,                                       # match, result 0: bit-1 state
-            1.0 - math.exp(-mu * eff.blind),           # match, result 1: full arm
+            1.0 - math.exp(-0.5 * mu * matched),  # mismatch, result 0: t0 state
+            1.0 - math.exp(-0.5 * mu * blind),    # mismatch, result 1: t1 state
+            0.0,                                  # match, result 0: bit-1 state
+            1.0 - math.exp(-mu * blind),          # match, result 1: full arm
         ],
         [
-            1.0 - math.exp(-0.5 * mu * eff.blind),
-            1.0 - math.exp(-0.5 * mu * eff.matched),
-            1.0 - math.exp(-mu * eff.blind),
+            1.0 - math.exp(-0.5 * mu * blind),
+            1.0 - math.exp(-0.5 * mu * matched),
+            1.0 - math.exp(-mu * blind),
             0.0,
         ],
     ])

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .faked_states import FakedStateIntensities, no_light
-from .model import EfficiencyMatrix, SystemParams, efficiency_matrix
+from .model import SystemParams, efficiency_matrix
 from .observables import PNRD, QND, p_single
 
 
@@ -32,9 +32,9 @@ class Table1Probs:
     s0: float
 
 
-def table1_probs(fs: FakedStateIntensities, eff: EfficiencyMatrix) -> Table1Probs:
+def table1_probs(fs: FakedStateIntensities, eff: tuple[float, float]) -> Table1Probs:
     """Outcome probabilities of the basis-mismatch resend cases."""
-    blind_arm = 1.0 - no_light(fs.mu_prime, eff.matched, eff.blind)[2]
+    blind_arm = 1.0 - no_light(fs.mu_prime, *eff)[2]
     return Table1Probs(r1=blind_arm, s0=blind_arm)
 
 
@@ -57,6 +57,5 @@ def r_absolute_for(params: SystemParams, strategy: PNRD | QND) -> float:
     ``decoy.evaluate`` reports it for PNRD only, and NaN for QND (the case
     eta_e = 1) and the baseline.
     """
-    eff = efficiency_matrix(params, strategy.k)
-    blind_dark = no_light(strategy.mu_prime, eff.matched, eff.blind)[2]
+    blind_dark = no_light(strategy.mu_prime, *efficiency_matrix(params, strategy.k))[2]
     return r_absolute(p_single(params.mu, strategy.eta_e), blind_dark)

@@ -27,7 +27,6 @@ from decoy_fsa.observables import (
     PNRD,
     QND,
     observables_for,
-    observables_pnrd,
     p_single,
 )
 from decoy_fsa.oracle import simulate_pulses
@@ -238,7 +237,7 @@ def test_criterion_7_property_suites():
         k = float(rng.uniform(1.0, 1000.0))
         mu_prime = float(rng.uniform(0.0, 2000.0))
         ideal = observables_for(params, QND(mu_prime=mu_prime, k=k))
-        gated = observables_pnrd(params, PNRD(mu_prime=mu_prime, k=k, eta_e=1.0))
+        gated = observables_for(params, PNRD(mu_prime=mu_prime, k=k, eta_e=1.0))
         for field in ("q_mu", "q_nu", "emu_qmu", "enu_qnu", "e_mu"):
             a, b = getattr(ideal, field), getattr(gated, field)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))

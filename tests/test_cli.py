@@ -254,6 +254,12 @@ class TestRate:
         assert main(["rate", "--config", str(config)]) == EXIT_CONFIG
         assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
+    def test_config_repeated_key_names_the_key(self, tmp_path, capsys):
+        config = tmp_path / "twice.json"
+        config.write_text('{"distance": 50, "distance": 100}')
+        assert main(["rate", "--config", str(config)]) == EXIT_CONFIG
+        assert "repeated parameter key: 'distance'" in capsys.readouterr().err
+
 
 class TestScanRecipes:
     def test_fig3_two_curves_with_sign_changes(self, tmp_path, capsys):
@@ -289,6 +295,13 @@ class TestScanRecipes:
         assert code == EXIT_CONFIG
         assert "--distances" in capsys.readouterr().err
 
+    def test_range_spec_ends_exactly_at_stop(self, tmp_path):
+        # 3 * 0.1 is 0.30000000000000004 in floats; the last point is stop itself.
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--strategy", "baseline", "--distances", "0:0.3:0.1",
+                     "--out", str(out)]) == EXIT_OK
+        assert [float(r["L"]) for r in read_csv(out)] == [0.0, 0.1, 0.2, 0.3]
+
 
 class TestSweepAndKmin:
     def test_sweep_contains_published_tuple(self, tmp_path):
@@ -320,6 +333,14 @@ class TestSweepAndKmin:
         [published] = [r for r in read_csv(fig2_out) if (r["k"], r["mu_prime"]) == ("310", "300")]
         at_100km = evaluate(GYS.replace(distance=100.0), QND(mu_prime=300.0, k=310.0)).rate
         assert float(published["rate"]) == at_100km
+
+    def test_k_range_spec_may_end_at_the_upper_bound(self, tmp_path):
+        # 10 + 900 * 1.1 rounds to 1000.0000000000001, past the k bound; the spec ends at 1000.
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--k-values", "10:1000:1.1", "--mu-prime-values", "300",
+                     "--out", str(out)]) == EXIT_OK
+        ks = [float(r["k"]) for r in read_csv(out)]
+        assert len(ks) == 901 and ks[-1] == 1000.0
 
     def test_kmin_monotone_column(self, tmp_path):
         out = tmp_path / "kmin.csv"

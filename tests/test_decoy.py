@@ -22,7 +22,6 @@ from decoy_fsa.observables import (
     Observables,
     PNRD,
     QND,
-    observables_baseline,
     observables_for,
 )
 
@@ -78,15 +77,14 @@ class TestY1Lower:
             params = GYS.replace(distance=distance)
             eta = channel_transmittance(params.alpha, distance) * params.eta_bob
             truth = eta + params.dark_count - eta * params.dark_count
-            bound = decoy_bounds(observables_baseline(params), params).y1_lower
+            bound = decoy_bounds(observables_for(params, Baseline()), params).y1_lower
             assert bound <= truth * (1.0 + 1e-9)
             assert bound == pytest.approx(truth, rel=0.05)
 
     def test_baseline_frozen_point(self):
         params = GYS.replace(distance=100.0)
-        assert decoy_bounds(observables_baseline(params), params).y1_lower == pytest.approx(
-            BASE_Y1_100, rel=1e-9
-        )
+        obs = observables_for(params, Baseline())
+        assert decoy_bounds(obs, params).y1_lower == pytest.approx(BASE_Y1_100, rel=1e-9)
 
     def test_attack_frozen_point(self):
         params = GYS.replace(distance=100.0)
@@ -148,7 +146,7 @@ class TestQ1Lower:
 
     def test_roundtrip_identity(self):
         params = GYS.replace(distance=100.0)
-        y1 = decoy_bounds(observables_baseline(params), params).y1_lower
+        y1 = decoy_bounds(observables_for(params, Baseline()), params).y1_lower
         assert q1_lower(y1, params.mu) / (params.mu * math.exp(-params.mu)) == pytest.approx(
             y1, rel=1e-12
         )
@@ -164,18 +162,20 @@ class TestE1Upper:
         params = GYS.replace(distance=100.0)
         enu = 0.5 * params.dark_count * math.exp(-params.nu)
         obs = obs_with(1e-4, 1e-5, 1e-6, enu)
-        assert e1_upper(obs, 1e-4, params) == pytest.approx(0.0, abs=1e-18)
+        assert e1_upper(obs.enu_qnu, math.exp(params.nu), 1e-4, params) == pytest.approx(
+            0.0, abs=1e-18)
 
     def test_divergence_flagged(self):
         params = GYS.replace(distance=100.0)
         obs = obs_with(1e-4, 1e-5, 1e-6, 1e-6)
-        assert math.isinf(e1_upper(obs, 0.0, params))
+        assert math.isinf(e1_upper(obs.enu_qnu, math.exp(params.nu), 0.0, params))
 
     def test_attack_frozen_point(self):
         params = GYS.replace(distance=100.0)
         obs = observables_for(params, QND(mu_prime=300.0, k=310.0))
         y1 = decoy_bounds(obs, params).y1_lower
-        assert e1_upper(obs, y1, params) == pytest.approx(QND_E1, rel=1e-9)
+        assert e1_upper(obs.enu_qnu, math.exp(params.nu), y1, params) == pytest.approx(
+            QND_E1, rel=1e-9)
 
 
 class TestKeyRate:
@@ -213,7 +213,7 @@ class TestKeyRate:
 
     def test_monotone_in_error_bounds(self):
         params = GYS.replace(distance=100.0)
-        obs_base = observables_baseline(params)
+        obs_base = observables_for(params, Baseline())
         bounds = decoy_bounds(obs_base, params)
         from decoy_fsa.decoy import DecoyBounds
 

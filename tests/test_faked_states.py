@@ -105,9 +105,10 @@ class TestRandomizedInvariants:
         # the light exponents (detector 0, detector 1) of the four equally
         # likely receiver cases and independent per-detector dark counts.
         eff = efficiency_matrix(GYS.replace(distance=distance), k)
+        matched, blind = eff
         fs = FakedStateIntensities.symmetric(mu_prime)
-        half_matched, half_blind = 0.5 * mu_prime * eff.matched, 0.5 * mu_prime * eff.blind
-        full_blind = mu_prime * eff.blind
+        half_matched, half_blind = 0.5 * mu_prime * matched, 0.5 * mu_prime * blind
+        full_blind = mu_prime * blind
         cases = [
             (half_matched, half_blind),  # mismatched basis, result 0 (t0)
             (half_blind, half_matched),  # mismatched basis, result 1 (t1)

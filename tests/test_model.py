@@ -59,22 +59,22 @@ class TestChannelTransmittance:
 
 class TestDemEfficiencies:
     def test_no_mismatch_all_equal(self):
-        eff = efficiency_matrix(GYS.replace(distance=0.0), 1.0)
+        matched, blind = efficiency_matrix(GYS.replace(distance=0.0), 1.0)
         floor = 0.045 * 1e-4
-        assert eff.matched == eff.blind == floor
+        assert matched == blind == floor
 
     def test_k310_at_100km(self):
-        eff = efficiency_matrix(GYS.replace(distance=100.0), 310.0)
-        assert eff.blind == pytest.approx(3.574477056259267e-8, rel=1e-9)
-        assert eff.matched == pytest.approx(1.1080878874403727e-5, rel=1e-9)
+        matched, blind = efficiency_matrix(GYS.replace(distance=100.0), 310.0)
+        assert blind == pytest.approx(3.574477056259267e-8, rel=1e-9)
+        assert matched == pytest.approx(1.1080878874403727e-5, rel=1e-9)
 
     def test_largest_physical_point(self):
-        eff = efficiency_matrix(GYS.replace(distance=0.0), 1000.0)
-        assert eff.matched == pytest.approx(4.5e-3, rel=1e-12)
+        matched, _ = efficiency_matrix(GYS.replace(distance=0.0), 1000.0)
+        assert matched == pytest.approx(4.5e-3, rel=1e-12)
 
     def test_ratio_exact_as_constructed(self):
-        eff = efficiency_matrix(GYS.replace(distance=7.0), 123.456)
-        assert eff.matched / eff.blind == pytest.approx(123.456, rel=1e-12)
+        matched, blind = efficiency_matrix(GYS.replace(distance=7.0), 123.456)
+        assert matched / blind == pytest.approx(123.456, rel=1e-12)
 
     def test_k_below_one_rejected(self):
         for k in (0.5, math.nan):
@@ -88,8 +88,8 @@ class TestDemEfficiencies:
 
     def test_efficiency_matrix_uses_params_distance(self):
         params = GYS.replace(distance=100.0)
-        eff = efficiency_matrix(params, 310.0)
-        assert eff.blind == pytest.approx(T_100KM * 0.045 * 1e-4, rel=1e-12)
+        _, blind = efficiency_matrix(params, 310.0)
+        assert blind == pytest.approx(T_100KM * 0.045 * 1e-4, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1.5, 310.0])
     def test_subnormal_blind_efficiency_rejected(self, k):

@@ -14,10 +14,9 @@ from decoy_fsa.observables import (
     PNRD,
     QND,
     _attack_gains,
-    observables_baseline,
     observables_for,
-    observables_pnrd,
     p_single,
+    rates_for,
 )
 from reference import next_up, poisson_pmf
 
@@ -76,7 +75,7 @@ class TestResendStrategies:
         assert qnd.eta_e == 1.0
         assert vars(qnd) == {"mu_prime": 300.0, "k": 310.0}
         params = GYS.replace(distance=100.0, e_detector=0.033)
-        assert observables_for(params, qnd) == observables_pnrd(
+        assert observables_for(params, qnd) == observables_for(
             params, PNRD(mu_prime=300.0, k=310.0, eta_e=1.0))
 
 
@@ -119,7 +118,7 @@ class TestPnrdObservables:
             for k, mp in ((1.0, 50.0), (310.0, 300.0), (1000.0, 900.0)):
                 params = GYS.replace(distance=distance)
                 ideal = observables_for(params, QND(mu_prime=mp, k=k))
-                gated = observables_pnrd(params, PNRD(mu_prime=mp, k=k, eta_e=1.0))
+                gated = observables_for(params, PNRD(mu_prime=mp, k=k, eta_e=1.0))
                 for field in ("q_mu", "q_nu", "emu_qmu", "enu_qnu", "e_mu"):
                     assert getattr(gated, field) == pytest.approx(
                         getattr(ideal, field), rel=1e-12
@@ -127,12 +126,12 @@ class TestPnrdObservables:
 
     def test_vanishing_efficiency_kills_the_gains(self):
         params = GYS.replace(distance=100.0, dark_count=0.0)
-        obs = observables_pnrd(params, PNRD(mu_prime=900.0, k=1000.0, eta_e=1e-9))
+        obs = observables_for(params, PNRD(mu_prime=900.0, k=1000.0, eta_e=1e-9))
         assert obs.q_mu == pytest.approx(0.0, abs=1e-9)
         assert obs.q_nu == pytest.approx(0.0, abs=1e-9)
 
     def test_frozen_point(self):
-        obs = observables_pnrd(
+        obs = observables_for(
             GYS.replace(distance=100.0), PNRD(mu_prime=900.0, k=1000.0, eta_e=0.1)
         )
         for name, expected in PNRD_1000_900_100.items():
@@ -140,28 +139,28 @@ class TestPnrdObservables:
 
     def test_dark_dominated_qber_approaches_half(self):
         params = GYS.replace(distance=100.0)
-        obs = observables_pnrd(params, PNRD(mu_prime=1e-6, k=310.0, eta_e=0.1))
+        obs = observables_for(params, PNRD(mu_prime=1e-6, k=310.0, eta_e=0.1))
         assert obs.e_mu == pytest.approx(0.5, abs=1e-3)
 
 
 class TestBaselineObservables:
     def test_long_distance_dark_dominated(self):
-        obs = observables_baseline(GYS.replace(distance=1000.0))
+        obs = observables_for(GYS.replace(distance=1000.0), Baseline())
         assert obs.q_mu == pytest.approx(GYS.dark_count, rel=1e-6)
         assert obs.e_mu == pytest.approx(0.5, abs=1e-6)
 
     def test_error_free_with_no_darks_and_no_misalignment(self):
-        obs = observables_baseline(GYS.replace(dark_count=1e-30))
+        obs = observables_for(GYS.replace(dark_count=1e-30), Baseline())
         assert obs.e_mu == pytest.approx(0.0, abs=1e-15)
 
     def test_frozen_point(self):
-        obs = observables_baseline(GYS.replace(distance=100.0))
+        obs = observables_for(GYS.replace(distance=100.0), Baseline())
         for name, expected in BASE_100.items():
             assert getattr(obs, name) == pytest.approx(expected, rel=1e-9), name
         assert obs.emu_qmu == pytest.approx(0.5 * GYS.dark_count, rel=1e-12)
 
     def test_misalignment_contributes(self):
-        obs = observables_baseline(GYS.replace(distance=100.0, e_detector=0.033))
+        obs = observables_for(GYS.replace(distance=100.0, e_detector=0.033), Baseline())
         expected = 0.5 * GYS.dark_count + 0.033 * (BASE_100["q_mu"] - GYS.dark_count)
         assert obs.emu_qmu == pytest.approx(expected, rel=1e-9)
 
@@ -192,11 +191,11 @@ class TestIntrinsicDetectorError:
 class TestDispatch:
     def test_dispatch_matches_direct_calls(self):
         params = GYS.replace(distance=80.0)
-        assert observables_for(params, Baseline()) == observables_baseline(params)
-        qnd = QND(mu_prime=300.0, k=310.0)
-        assert observables_for(params, qnd) == observables_pnrd(params, qnd)
-        pnrd = PNRD(mu_prime=900.0, k=1000.0, eta_e=0.1)
-        assert observables_for(params, pnrd) == observables_pnrd(params, pnrd)
+        for strategy in (Baseline(), QND(mu_prime=300.0, k=310.0),
+                         PNRD(mu_prime=900.0, k=1000.0, eta_e=0.1)):
+            obs = observables_for(params, strategy)
+            assert (obs.q_mu, obs.q_nu, obs.emu_qmu, obs.enu_qnu) == rates_for(
+                params, strategy)[:4]
 
     def test_strategy_validation(self):
         with pytest.raises(ValueError):

@@ -58,7 +58,7 @@ def _assert_tally_invariants(run, n_pulses):
 
 def _reach_limit(params):
     """The largest k whose matched efficiency k*blind stays at most 1."""
-    blind = efficiency_matrix(params, 1.0).blind
+    _, blind = efficiency_matrix(params, 1.0)
     k = 1.0 / blind
     return k if k * blind <= 1.0 else math.nextafter(k, 0.0)
 
@@ -192,7 +192,8 @@ class TestResendTable:
         # exactly zero or one rounding away from it.
         params = GYS.replace(distance=0.0, eta_bob=1.0, dark_count=dark_count)
         k = _reach_limit(params)
-        assert 1.0 - 1e-15 < efficiency_matrix(params, k).matched <= 1.0
+        matched, _ = efficiency_matrix(params, k)
+        assert 1.0 - 1e-15 < matched <= 1.0
         kwargs = {} if strategy_type is QND else {"eta_e": 0.5}
         strategy = strategy_type(mu_prime=mu_prime, k=k, **kwargs)
         table = oracle._resend_click_tables(strategy, params)
@@ -402,7 +403,7 @@ class TestClosedFormAgreement:
 
     def test_high_dark_count_baseline_agreement(self):
         # At d = 0.3 a dark count drawn over every pulse instead of the unlit
-        # ones (the additive Q = d + 1 - exp(-eta*x) of observables_baseline),
+        # ones (the additive Q = d + 1 - exp(-eta*x) of _baseline_gains),
         # a dark click flipped by e_detector instead of a coin, or detector 1
         # drawn over every pulse instead of the clicks moves these by many
         # sigma.  The reference is the exact per-pulse one, computed here.
@@ -433,7 +434,7 @@ class TestClosedFormAgreement:
 
 # The attack half of the domain-wide audit: one fixed sample of the input
 # domain, drawn from this seed, which was declared before the first run and is
-# never re-drawn.  Baseline points stay out until observables_baseline counts a
+# never re-drawn.  Baseline points stay out until _baseline_gains counts a
 # dark count only on an unlit pulse, as the Monte Carlo does; until then its
 # additive gain fails the audit at dark_count >= 0.01.
 AUDIT_SEED = 271828
