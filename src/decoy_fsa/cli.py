@@ -58,7 +58,9 @@ def _parse_values(text: str, name: str) -> tuple[float, ...]:
         steps = (stop - start) / step + 1e-9
         if not steps < _MAX_GRID_POINTS:
             raise ValueError(f"more than {_MAX_GRID_POINTS} points")
-        return tuple(min(start + i * step, stop) for i in range(int(steps) + 1))
+        n = int(steps)
+        last = stop if steps - n <= 2e-9 else start + n * step  # within 1e-9 of n steps: stop
+        return tuple(start + i * step for i in range(n)) + (last,)
     except ValueError as exc:
         raise ConfigError(f"invalid {name} specification {text!r}: {exc}") from exc
 

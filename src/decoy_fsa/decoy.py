@@ -38,7 +38,7 @@ class RateReport(NamedTuple):
     """One evaluation of the full pipeline; ``r_absolute`` is NaN unless the strategy is PNRD.
 
     The fields are the four observables, the four bound fields, the rate and
-    ``r_absolute``; ``observables`` and ``bounds`` build the records when read.
+    ``r_absolute``; ``flags`` names the bound flags that fired.
     """
 
     q_mu: float
@@ -51,14 +51,6 @@ class RateReport(NamedTuple):
     y1_clamped: bool
     rate: float
     r_absolute: float
-
-    @property
-    def observables(self) -> Observables:
-        return Observables(*self[:4])
-
-    @property
-    def bounds(self) -> DecoyBounds:
-        return DecoyBounds(*self[4:8])
 
     @property
     def flags(self) -> tuple[str, ...]:

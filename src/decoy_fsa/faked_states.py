@@ -14,7 +14,7 @@ mirror-symmetric, so both detectors click alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp
+from math import exp, inf
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,8 @@ class FakedStateIntensities:
     mu_prime: float
 
     def __post_init__(self) -> None:
-        if self.mu_prime < 0.0:
-            raise ValueError(f"faked-state intensity must be non-negative, got {self.mu_prime}")
+        if not 0.0 <= self.mu_prime < inf:
+            raise ValueError(f"faked-state intensity must be finite and >= 0, got {self.mu_prime}")
 
     @classmethod
     def symmetric(cls, mu_prime: float) -> "FakedStateIntensities":

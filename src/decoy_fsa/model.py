@@ -120,10 +120,10 @@ GYS = SystemParams()
 
 def channel_transmittance(alpha: float, distance: float) -> float:
     """Fiber transmittance 10^(-alpha*L/10) for loss ``alpha`` dB/km over L km."""
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if distance < 0.0:
-        raise ValueError(f"distance must be non-negative, got {distance}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    if not 0.0 <= distance < math.inf:
+        raise ValueError(f"distance must be finite and non-negative, got {distance}")
     return 10.0 ** (-alpha * distance / 10.0)
 
 

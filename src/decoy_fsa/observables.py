@@ -111,8 +111,8 @@ def p_single(mu: float, eta_e: float) -> float:
     Equals the binomially thinned single-count sum over the Poisson photon
     number distribution, mu*eta_e*exp(-mu*eta_e).
     """
-    if mu < 0.0:
-        raise ValueError(f"mu must be non-negative, got {mu}")
+    if not 0.0 <= mu < inf:
+        raise ValueError(f"mu must be finite and non-negative, got {mu}")
     if not 0.0 < eta_e <= 1.0:
         raise ValueError(f"eta_e must be in (0, 1], got {eta_e}")
     return mu * eta_e * exp(-mu * eta_e)

@@ -141,26 +141,23 @@ def _binomial_two_sided_p(successes: int, trials: int, p: float) -> float:
     """2 * min(P[X <= successes], P[X >= successes]) for X ~ Binomial(trials, p).
 
     Sums the pmf from ``successes`` outward, away from the mean, where the terms
-    shrink geometrically; requires 0 < p < 1.
+    shrink geometrically; requires 0 < p < 1.  Below the mean the count is
+    mirrored first: P[X <= s] at p is P[X >= trials - s] at 1 - p.
     """
+    log_p, log_q = math.log(p), math.log1p(-p)
+    if successes < trials * p:
+        successes, log_p, log_q = trials - successes, log_q, log_p
     term = math.exp(
         math.lgamma(trials + 1) - math.lgamma(successes + 1)
-        - math.lgamma(trials - successes + 1)
-        + successes * math.log(p) + (trials - successes) * math.log1p(-p)
+        - math.lgamma(trials - successes + 1) + successes * log_p + (trials - successes) * log_q
     )
-    odds = p / (1.0 - p)
+    odds = math.exp(log_p - log_q)
     total = term
     j = successes
-    if successes >= trials * p:
-        while j < trials and term > total * 1e-17:
-            term *= (trials - j) / (j + 1) * odds
-            total += term
-            j += 1
-    else:
-        while j > 0 and term > total * 1e-17:
-            term *= j / (trials - j + 1) / odds
-            total += term
-            j -= 1
+    while j < trials and term > total * 1e-17:
+        term *= (trials - j) / (j + 1) * odds
+        total += term
+        j += 1
     return min(1.0, 2.0 * total)
 
 
@@ -199,20 +196,15 @@ def _resend_click_tables(strategy: QND | PNRD, params: SystemParams) -> np.ndarr
 
     matched, blind = efficiency_matrix(params, strategy.k)
     mu = strategy.mu_prime
-    light = np.array([
-        [
-            1.0 - math.exp(-0.5 * mu * matched),  # mismatch, result 0: t0 state
-            1.0 - math.exp(-0.5 * mu * blind),    # mismatch, result 1: t1 state
-            0.0,                                  # match, result 0: bit-1 state
-            1.0 - math.exp(-mu * blind),          # match, result 1: full arm
-        ],
-        [
-            1.0 - math.exp(-0.5 * mu * blind),
-            1.0 - math.exp(-0.5 * mu * matched),
-            1.0 - math.exp(-mu * blind),
-            0.0,
-        ],
-    ])
+    half_matched = 1.0 - math.exp(-0.5 * mu * matched)
+    half_blind = 1.0 - math.exp(-0.5 * mu * blind)
+    full_blind = 1.0 - math.exp(-mu * blind)
+    light = np.array([  # per case, (detector 0, detector 1)
+        [half_matched, half_blind],  # mismatch, result 0: t0 state
+        [half_blind, half_matched],  # mismatch, result 1: t1 state
+        [0.0, full_blind],           # match, result 0: bit-1 state
+        [full_blind, 0.0],           # match, result 1: full arm
+    ]).T
     d = params.dark_count
     rows = np.stack([light, (1.0 - light) * d, (1.0 - light) * (1.0 - d)], axis=-1)
     return (0.25 * rows[0][:, :, None] * rows[1][:, None, :]).ravel()

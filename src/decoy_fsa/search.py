@@ -184,7 +184,7 @@ def scan_row_for(params: SystemParams, strategy: AttackStrategy) -> ScanRow:
         strategy=label,
         distance=params.distance,
         q_mu=report.q_mu,
-        e_mu=report.observables.e_mu,
+        e_mu=report.emu_qmu / report.q_mu,
         y1_lower=report.y1_lower,
         q1_lower=report.q1_lower,
         e1_upper=report.e1_upper,

@@ -133,7 +133,7 @@ def test_criterion_4_pnrd_stealth_profile():
         params = GYS.replace(distance=float(distance))
         attack = evaluate(params, PNRD_FIG6)
         base = evaluate(params, Baseline())
-        dev_q = abs(attack.observables.q_mu - base.observables.q_mu) / base.observables.q_mu
+        dev_q = abs(attack.q_mu - base.q_mu) / base.q_mu
         dev_r = abs(attack.rate - base.rate) / abs(base.rate)
         return dev_q, dev_r
 

@@ -295,12 +295,17 @@ class TestScanRecipes:
         assert code == EXIT_CONFIG
         assert "--distances" in capsys.readouterr().err
 
-    def test_range_spec_ends_exactly_at_stop(self, tmp_path):
-        # 3 * 0.1 is 0.30000000000000004 in floats; the last point is stop itself.
+    # 3 * 0.1 is 0.30000000000000004 and 3 * 0.3 is 0.8999999999999999 in floats;
+    # either way the last point is stop itself.
+    @pytest.mark.parametrize("spec, expected", [
+        pytest.param("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3], id="0:0.3:0.1"),
+        pytest.param("0:0.9:0.3", [0.0, 0.3, 0.6, 0.9], id="0:0.9:0.3"),
+    ])
+    def test_range_spec_ends_exactly_at_stop(self, tmp_path, spec, expected):
         out = tmp_path / "scan.csv"
-        assert main(["scan", "--strategy", "baseline", "--distances", "0:0.3:0.1",
+        assert main(["scan", "--strategy", "baseline", "--distances", spec,
                      "--out", str(out)]) == EXIT_OK
-        assert [float(r["L"]) for r in read_csv(out)] == [0.0, 0.1, 0.2, 0.3]
+        assert [float(r["L"]) for r in read_csv(out)] == expected
 
 
 class TestSweepAndKmin:

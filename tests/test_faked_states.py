@@ -133,6 +133,7 @@ class TestRandomizedInvariants:
         more = p_arrive(FakedStateIntensities(mu_prime + bump), eff, D_GYS)
         assert more >= base - 1e-15
 
-    def test_negative_intensity_rejected(self):
-        with pytest.raises(ValueError):
-            FakedStateIntensities(-1.0)
+    @pytest.mark.parametrize("mu_prime", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_intensity_rejected(self, mu_prime):
+        with pytest.raises(ValueError, match="faked-state intensity"):
+            FakedStateIntensities(mu_prime)

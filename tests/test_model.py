@@ -205,6 +205,10 @@ MODEL_GUARDS = [
                  id="channel_transmittance.alpha"),
     pytest.param(lambda v: channel_transmittance(0.21, v), 0.0, -5e-324, ValueError, "distance",
                  id="channel_transmittance.distance"),
+    *(pytest.param(lambda v: channel_transmittance(v, 10.0), 0.21, bad, ValueError, "alpha",
+                   id=f"channel_transmittance.alpha={bad}") for bad in (math.nan, math.inf)),
+    *(pytest.param(lambda v: channel_transmittance(0.21, v), 10.0, bad, ValueError, "distance",
+                   id=f"channel_transmittance.distance={bad}") for bad in (math.nan, math.inf)),
     pytest.param(lambda v: efficiency_matrix(_UNIT_LINK, v), 1.0, next_down(1.0),
                  ValueError, r"\bk\b", id="efficiency_matrix.k"),
     pytest.param(lambda v: efficiency_matrix(_UNIT_LINK, v), 1e4, next_up(1e4),

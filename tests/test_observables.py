@@ -235,6 +235,8 @@ OBSERVABLES_GUARDS = [
                  ValueError, "QBER", id="Observables.e_mu"),
     pytest.param(lambda v: p_single(v, 0.5), 0.0, -5e-324, ValueError, r"\bmu\b",
                  id="p_single.mu"),
+    *(pytest.param(lambda v: p_single(v, 0.5), 0.48, bad, ValueError, r"\bmu\b",
+                   id=f"p_single.mu={bad}") for bad in (math.nan, math.inf)),
     pytest.param(lambda v: p_single(0.48, v), 5e-324, 0.0, ValueError, "eta_e",
                  id="p_single.eta_e=0"),
     pytest.param(lambda v: p_single(0.48, v), 1.0, next_up(1.0), ValueError, "eta_e",

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -530,3 +531,37 @@ class TestBinomialVerdict:
         assert binomial_verdict(0, 100, 0.0)[2]
         assert not binomial_verdict(1, 100, 0.0)[2]
         assert not binomial_verdict(0, 0, 0.5)[2]
+
+
+def _exact_two_sided_p(trials: int, p: float) -> list[float]:
+    """min(1, 2*min(P[X <= s], P[X >= s])) for every s, summed in integers.
+
+    p = a/b exactly, so each pmf is comb(n, s)*a**s*(b - a)**(n - s) over b**n.
+    """
+    a, b = p.as_integer_ratio()
+    pmf = [math.comb(trials, s) * a**s * (b - a) ** (trials - s) for s in range(trials + 1)]
+    lower = [sum(pmf[: s + 1]) for s in range(trials + 1)]
+    upper = [sum(pmf[s:]) for s in range(trials + 1)]
+    return [float(Fraction(min(b**trials, 2 * min(lo, up)), b**trials))
+            for lo, up in zip(lower, upper)]
+
+
+class TestBinomialTail:
+    @pytest.mark.parametrize("p", [1e-6, 0.01, 0.3, 0.5, 0.77, 0.999])
+    @pytest.mark.parametrize("trials", [1, 2, 7, 30, 101, 200])
+    def test_matches_exact_sum_on_both_tails(self, trials, p):
+        for successes, exact in enumerate(_exact_two_sided_p(trials, p)):
+            if exact >= sys.float_info.min:
+                got = oracle._binomial_two_sided_p(successes, trials, p)
+                assert got == pytest.approx(exact, rel=1e-9, abs=0.0), (successes, trials, p)
+
+    @pytest.mark.parametrize("p", [1e-6, 0.01, 0.3, 0.5, 0.77, 0.999])
+    @pytest.mark.parametrize("trials", [1, 30, 200, 1_000_000])
+    def test_mirror_symmetry(self, trials, p):
+        # P(s; n, p) = P(n - s; n, 1 - p): one side of the pair takes the mirrored path.
+        mean = round(trials * p)
+        for successes in {0, 1, mean // 2, mean, mean + 3, trials - 1, trials}:
+            if 0 <= successes <= trials:
+                direct = oracle._binomial_two_sided_p(successes, trials, p)
+                mirrored = oracle._binomial_two_sided_p(trials - successes, trials, 1.0 - p)
+                assert direct == pytest.approx(mirrored, rel=1e-9, abs=1e-300), (successes, trials)

@@ -46,8 +46,8 @@ class TestBestRateOverMuPrime:
                 except DegenerateObservablesError:  # no light and no darks
                     continue
                 assert report.rate <= 0.0, (params, strategy)
-                if report.observables.q_mu > 1e-12:
-                    assert abs(report.observables.e_mu - 0.5) < 1e-9, (params, strategy)
+                if report.q_mu > 1e-12:
+                    assert abs(report.emu_qmu / report.q_mu - 0.5) < 1e-9, (params, strategy)
 
     def test_published_tuple_is_feasible(self):
         mu_star, best = best_rate_over_mu_prime(
@@ -143,6 +143,21 @@ class TestKmin:
         # 0.5 sets fig4's dyadic step, 999/2**11; the library and the CLI share it.
         default = inspect.signature(k_min).parameters["tol"].default
         assert default == cli.build_parser().parse_args(["kmin"]).tol == 0.5
+
+    def test_feasibility_only_switches_on_as_k_grows(self):
+        # The bisection's premise: along k, no infeasible probe sits above a
+        # feasible one.  The sample's seed was fixed before its first run.
+        rng = random.Random(4242)
+        ladder = [1000.0 ** (i / 24) for i in range(1, 25)]  # geometric, in (1, 1000]
+        for i in range(12):
+            params = GYS.replace(
+                dark_count=10.0 ** rng.uniform(-8.0, -2.0),
+                e_detector=rng.choice((0.0, 0.01, 0.033, 0.1)),
+                distance=rng.uniform(0.0, 150.0),
+            )
+            eta_e = None if i % 2 == 0 else rng.uniform(0.05, 1.0)
+            feasible = [search._probe(params, k, eta_e, False)[1] > 0.0 for k in ladder]
+            assert feasible == sorted(feasible), (params, eta_e, list(zip(ladder, feasible)))
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
