@@ -304,14 +304,11 @@ def _analytic_quantities(params: SystemParams, strategy: AttackStrategy) -> dict
     if isinstance(strategy, Baseline):
         return quantities
     eff = efficiency_matrix(params, strategy.k)
-    fs = faked_states.FakedStateIntensities.symmetric(strategy.mu_prime)
+    fs = faked_states.FakedStateIntensities(strategy.mu_prime)
     d = params.dark_count
-    quantities.update({
-        "p_click0": faked_states.p_click_det0(fs, eff, d),
-        "p_click1": faked_states.p_click_det1(fs, eff, d),
-        "p_arrive": faked_states.p_arrive(fs, eff, d),
-        "p_error": faked_states.p_error(fs, eff, d),
-    })
+    p_click = faked_states.p_click_det0(fs, eff, d)  # detector 1 alike, by mirror symmetry
+    p_arrive, p_error = faked_states.arrive_error(faked_states.no_light(fs.mu_prime, *eff), d)
+    quantities.update(p_click0=p_click, p_click1=p_click, p_arrive=p_arrive, p_error=p_error)
     quantities.update(vars(security.table1_probs(fs, eff)))  # r1, s0
     return quantities
 

@@ -32,8 +32,8 @@ mechanistically, in as much detail as the tallies read:
   detector 1's share of clicks (1/2) are then each one binomial count.
 
 Runs are deterministic: shards of at most ``DEFAULT_SHARD_SIZE`` pulses and
-about as many signal photons draw RNG streams spawned from the master seed by
-shard index, and tallies merge in shard order no matter how shards are run.
+about as many signal photons run in index order, each drawing from its own RNG
+stream spawned from the master seed, and tallies add up in that order.
 
 numpy is imported inside the functions that simulate, not at module level:
 the closed-form commands (``rate``, ``scan``, ``sweep``, ``kmin``) import this
@@ -180,7 +180,7 @@ def binomial_verdict(successes: int, trials: int, p: float) -> tuple[float, floa
     return sigma, z, ok
 
 
-def _resend_click_tables(strategy: QND | PNRD, params: SystemParams) -> np.ndarray:
+def _resend_click_tables(strategy: QND | PNRD, params: SystemParams) -> list[float]:
     """Probabilities of the 36 (case, detector-0, detector-1) outcomes of one resend.
 
     Case index is 2*bob_matches + result, each case with probability 1/4; a
@@ -190,24 +190,22 @@ def _resend_click_tables(strategy: QND | PNRD, params: SystemParams) -> np.ndarr
     light with probability q and, independently, a dark count with probability
     d, so its outcome is light, dark only or none with probabilities
     (q, (1 - q)*d, (1 - q)*(1 - d)).  The two detectors are independent, so the table is
-    1/4 * row0 (x) row1 per case, flattened in C order: entry 9*case + 3*o0 + o1.
+    1/4 * row0 (x) row1 per case, in C order: entry 9*case + 3*o0 + o1.
     """
-    import numpy as np
-
     matched, blind = efficiency_matrix(params, strategy.k)
     mu = strategy.mu_prime
     half_matched = 1.0 - math.exp(-0.5 * mu * matched)
     half_blind = 1.0 - math.exp(-0.5 * mu * blind)
     full_blind = 1.0 - math.exp(-mu * blind)
-    light = np.array([  # per case, (detector 0, detector 1)
-        [half_matched, half_blind],  # mismatch, result 0: t0 state
-        [half_blind, half_matched],  # mismatch, result 1: t1 state
-        [0.0, full_blind],           # match, result 0: bit-1 state
-        [full_blind, 0.0],           # match, result 1: full arm
-    ]).T
+    light = (  # per case, (detector 0, detector 1)
+        (half_matched, half_blind),  # mismatch, result 0: t0 state
+        (half_blind, half_matched),  # mismatch, result 1: t1 state
+        (0.0, full_blind),           # match, result 0: bit-1 state
+        (full_blind, 0.0),           # match, result 1: full arm
+    )
     d = params.dark_count
-    rows = np.stack([light, (1.0 - light) * d, (1.0 - light) * (1.0 - d)], axis=-1)
-    return (0.25 * rows[0][:, :, None] * rows[1][:, None, :]).ravel()
+    rows = [[(q, (1.0 - q) * d, (1.0 - q) * (1.0 - d)) for q in case] for case in light]
+    return [0.25 * a * b for row0, row1 in rows for a in row0 for b in row1]
 
 
 def draw_photons(rng: np.random.Generator, mean: float, m: int, keep: float) -> np.ndarray:
@@ -233,7 +231,7 @@ def _simulate_attack_shard(
     m: int,
     tally: dict[str, int],
     resend: dict[str, list[int]],
-    table: np.ndarray,
+    table: list[float],
 ) -> None:
     import numpy as np
 
@@ -266,11 +264,9 @@ def _simulate_attack_shard(
     # e_detector, wrong bits first, then right ones.  It reaches the users'
     # error tallies only; p_error stays the faked-state count.  A blocked
     # pulse's bit is a fair coin already, and a flip leaves it one.
-    n_user_errors = n_errors
-    if params.e_detector:
-        wrong_flipped = int(rng.binomial(n_errors, params.e_detector))
-        right_flipped = int(rng.binomial(n_clicked - n_errors, params.e_detector))
-        n_user_errors += right_flipped - wrong_flipped
+    wrong_flipped = int(rng.binomial(n_errors, params.e_detector))
+    right_flipped = int(rng.binomial(n_clicked - n_errors, params.e_detector))
+    n_user_errors = n_errors + right_flipped - wrong_flipped
 
     tally["click0"] += n_click0 + (n_block_click - block_det1)
     tally["click1"] += n_click1 + block_det1
@@ -326,8 +322,8 @@ def simulate_pulses(
     """Simulate ``n_pulses`` signal pulses and ``n_pulses`` decoy pulses.
 
     A shard holds at most ``DEFAULT_SHARD_SIZE`` pulses and about as many
-    signal photons, and its RNG stream is spawned from ``seed`` by index, so
-    identical inputs give identical tallies however the shards are scheduled.
+    signal photons.  Shards run in index order, each drawing from its own RNG
+    stream spawned from ``seed``, so identical inputs give identical tallies.
     """
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
