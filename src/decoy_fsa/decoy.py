@@ -67,24 +67,12 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def q1_lower(y1: float, mu: float) -> float:
-    """Lower bound on the single-photon gain, mu*exp(-mu)*Y1."""
-    if not 0.0 <= y1 <= 1.0:
-        raise ValueError(f"y1 must be in [0, 1], got {y1}")
-    return mu * math.exp(-mu) * y1
-
-
-def e1_upper(enu_qnu: float, exp_nu: float, y1: float, params: SystemParams) -> float:
-    """Upper bound on the single-photon error rate, given exp_nu = exp(nu); +inf when y1 == 0."""
-    if y1 <= 0.0:
-        return math.inf
-    return (enu_qnu * exp_nu - 0.5 * params.dark_count) / (y1 * params.nu)
-
-
 def _bounds(
     q_mu: float, q_nu: float, enu_qnu: float, params: SystemParams
 ) -> tuple[float, float, float, bool]:
-    """The :class:`DecoyBounds` fields; Y1 is the weak+vacuum bound clamped to [0, 1]."""
+    """The :class:`DecoyBounds` fields Y1, Q1 = mu*exp(-mu)*Y1, e1 and the clamp flag.
+
+    Y1 is the weak+vacuum bound clamped to [0, 1]; e1 is +inf at Y1 = 0."""
     mu, nu, d = params.mu, params.nu, params.dark_count
     mu2, nu2, exp_nu = mu**2, nu**2, math.exp(nu)
     raw_y1 = (
@@ -92,7 +80,8 @@ def _bounds(
         * (q_nu * exp_nu - q_mu * math.exp(mu) * nu2 / mu2 - (mu2 - nu2) / mu2 * d)
     )
     y1 = min(max(raw_y1, 0.0), 1.0)
-    return y1, q1_lower(y1, mu), e1_upper(enu_qnu, exp_nu, y1, params), raw_y1 != y1
+    e1 = math.inf if y1 <= 0.0 else (enu_qnu * exp_nu - 0.5 * d) / (y1 * nu)
+    return y1, mu * math.exp(-mu) * y1, e1, raw_y1 != y1
 
 
 def decoy_bounds(obs: Observables, params: SystemParams) -> DecoyBounds:

@@ -97,7 +97,7 @@ def checked_qber(q_mu: float, q_nu: float, emu_qmu: float, enu_qnu: float) -> fl
     if q_mu <= 0.0:
         raise DegenerateObservablesError("signal gain is zero; QBER undefined")
     for err, gain, tag in ((emu_qmu, q_mu, "mu"), (enu_qnu, q_nu, "nu")):
-        if err < -_SLACK or err > gain + _SLACK or gain > 1.0 + _SLACK:
+        if not (-_SLACK <= err <= gain + _SLACK and gain <= 1.0 + _SLACK):
             raise ValueError(f"need 0 <= E_{tag}*Q_{tag} <= Q_{tag} <= 1, got ({err}, {gain})")
     e_mu = emu_qmu / q_mu
     if not -_SLACK <= e_mu <= 1.0 + _SLACK:
@@ -118,37 +118,16 @@ def p_single(mu: float, eta_e: float) -> float:
     return mu * eta_e * exp(-mu * eta_e)
 
 
-def _attack_gains(
-    arrive: float,
-    error: float,
-    attacked_mu: float,
-    attacked_nu: float,
-    d: float,
-    e_detector: float,
-) -> tuple[float, float, float, float]:
-    """The four observables from resend statistics and per-intensity attack fractions.
-
-    Pulses the eavesdropper does not resend reach Bob as vacuum and click only
-    via the dark count probability d, erring half the time.  The attack leaves
-    Bob's receiver as it is, so its intrinsic detector error ``e_detector``
-    flips the bit of every click, faked state or dark count alike:
-    E'Q = (1 - 2e)*EQ + e*Q, the rule the baseline's d/2 + e*(1 - exp(-eta*x))
-    embodies.  At e = 0 the composition is exact.
-    """
-    q_mu = arrive * attacked_mu + (1.0 - attacked_mu) * d
-    q_nu = arrive * attacked_nu + (1.0 - attacked_nu) * d
-    emu_qmu = error * attacked_mu + 0.5 * (1.0 - attacked_mu) * d
-    enu_qnu = error * attacked_nu + 0.5 * (1.0 - attacked_nu) * d
-    emu_qmu = (1.0 - 2.0 * e_detector) * emu_qmu + e_detector * q_mu
-    enu_qnu = (1.0 - 2.0 * e_detector) * enu_qnu + e_detector * q_nu
-    return q_mu, q_nu, emu_qmu, enu_qnu
-
-
 def _resend_rates(params: SystemParams, strategy: QND | PNRD) -> tuple[float, ...]:
     """:func:`rates_for` when resends are gated on a measured photon count of one.
 
     The QND strategy is the case eta_e = 1, where p_single(mu, 1) = mu*exp(-mu)
-    attacks every true single-photon pulse.
+    attacks every true single-photon pulse.  Pulses the eavesdropper does not
+    resend reach Bob as vacuum and click only via the dark count probability d,
+    erring half the time.  The attack leaves Bob's receiver as it is, so its
+    intrinsic detector error e flips the bit of every click, faked state or dark
+    count alike: E'Q = (1 - 2e)*EQ + e*Q, the rule the baseline's
+    d/2 + e*(1 - exp(-eta*x)) embodies.  At e = 0 the composition is exact.
     """
     matched, blind = efficiency_matrix(params, strategy.k)
     dark = faked_states.no_light(strategy.mu_prime, matched, blind)
@@ -156,8 +135,14 @@ def _resend_rates(params: SystemParams, strategy: QND | PNRD) -> tuple[float, ..
     arrive, error = faked_states.arrive_error(dark, d)
     attacked_mu = p_single(params.mu, strategy.eta_e)
     attacked_nu = p_single(params.nu, strategy.eta_e)
-    gains = _attack_gains(arrive, error, attacked_mu, attacked_nu, d, params.e_detector)
-    return (*gains, attacked_mu, dark[2])
+    q_mu = arrive * attacked_mu + (1.0 - attacked_mu) * d
+    q_nu = arrive * attacked_nu + (1.0 - attacked_nu) * d
+    emu_qmu = error * attacked_mu + 0.5 * (1.0 - attacked_mu) * d
+    enu_qnu = error * attacked_nu + 0.5 * (1.0 - attacked_nu) * d
+    e = params.e_detector
+    emu_qmu = (1.0 - 2.0 * e) * emu_qmu + e * q_mu
+    enu_qnu = (1.0 - 2.0 * e) * enu_qnu + e * q_nu
+    return q_mu, q_nu, emu_qmu, enu_qnu, attacked_mu, dark[2]
 
 
 def _baseline_gains(params: SystemParams) -> tuple[float, float, float, float]:

@@ -6,19 +6,19 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from decoy_fsa import decoy
 from decoy_fsa.decoy import (
     RateReport,
     binary_entropy,
     decoy_bounds,
-    e1_upper,
     evaluate,
     key_rate,
     q1_expansion,
-    q1_lower,
 )
 from decoy_fsa.model import GYS, channel_transmittance
 from decoy_fsa.observables import (
     Baseline,
+    DegenerateObservablesError,
     Observables,
     PNRD,
     QND,
@@ -40,6 +40,13 @@ P1 = 0.29701602806694761
 
 def obs_with(q_mu, q_nu, emu_qmu, enu_qnu):
     return Observables(q_mu=q_mu, q_nu=q_nu, emu_qmu=emu_qmu, enu_qnu=enu_qnu)
+
+
+def q_nu_for(raw_y1, q_mu, params):
+    """The decoy gain at which the weak+vacuum estimate, before its clamp, is ``raw_y1``."""
+    mu, nu, d = params.mu, params.nu, params.dark_count
+    return (raw_y1 * (mu * nu - nu**2) / mu + q_mu * math.exp(mu) * nu**2 / mu**2
+            + (mu**2 - nu**2) / mu**2 * d) * math.exp(-nu)
 
 
 class TestBinaryEntropy:
@@ -108,17 +115,11 @@ class TestY1Lower:
         # Gains rigged so the raw estimate is 1.4, then 0.995: the first is
         # clamped to exactly 1, the second passes through unflagged.
         params = GYS.replace(distance=100.0)
-        mu, nu, d = params.mu, params.nu, params.dark_count
-        q_mu = 1e-3
-
-        def q_nu_for(raw_y1):
-            return (raw_y1 * (mu * nu - nu**2) / mu + q_mu * math.exp(mu) * nu**2 / mu**2
-                    + (mu**2 - nu**2) / mu**2 * d) * math.exp(-nu)
-
-        bounds = decoy_bounds(obs_with(q_mu, q_nu_for(1.4), 1e-5, 1e-4), params)
+        mu, q_mu = params.mu, 1e-3
+        bounds = decoy_bounds(obs_with(q_mu, q_nu_for(1.4, q_mu, params), 1e-5, 1e-4), params)
         assert bounds.y1_lower == 1.0 and bounds.y1_clamped
-        assert bounds.q1_lower == q1_lower(1.0, mu)
-        bounds = decoy_bounds(obs_with(q_mu, q_nu_for(0.995), 1e-5, 1e-4), params)
+        assert bounds.q1_lower == mu * math.exp(-mu) * 1.0
+        bounds = decoy_bounds(obs_with(q_mu, q_nu_for(0.995, q_mu, params), 1e-5, 1e-4), params)
         assert bounds.y1_lower == pytest.approx(0.995, rel=1e-9)
         assert not bounds.y1_clamped
 
@@ -138,43 +139,55 @@ class TestY1Lower:
 
 class TestQ1Lower:
     def test_zero(self):
-        assert q1_lower(0.0, 0.48) == 0.0
+        bounds = decoy_bounds(obs_with(1e-3, 1e-9, 1e-6, 1e-10), GYS)
+        assert bounds.y1_lower == 0.0 and bounds.y1_clamped
+        assert bounds.q1_lower == 0.0
 
     def test_unit_yield(self):
-        assert q1_lower(1.0, 0.48) == pytest.approx(P1, rel=1e-12)
+        bounds = decoy_bounds(obs_with(1e-3, q_nu_for(1.4, 1e-3, GYS), 1e-5, 1e-4), GYS)
+        assert GYS.mu == 0.48
+        assert bounds.y1_lower == 1.0 and bounds.y1_clamped
+        assert bounds.q1_lower == pytest.approx(P1, rel=1e-12)
 
     def test_roundtrip_identity(self):
         params = GYS.replace(distance=100.0)
-        y1 = decoy_bounds(observables_for(params, Baseline()), params).y1_lower
-        assert q1_lower(y1, params.mu) / (params.mu * math.exp(-params.mu)) == pytest.approx(
-            y1, rel=1e-12
+        bounds = decoy_bounds(observables_for(params, Baseline()), params)
+        assert bounds.q1_lower / (params.mu * math.exp(-params.mu)) == pytest.approx(
+            bounds.y1_lower, rel=1e-12
         )
 
-    def test_domain(self):
-        for y1 in (-5e-324, 1.1, math.nextafter(1.0, 2.0)):
-            with pytest.raises(ValueError, match="y1 must be in"):
-                q1_lower(y1, 0.48)
+    @pytest.mark.parametrize("field", ["q_mu", "q_nu", "emu_qmu", "enu_qnu"])
+    def test_nan_observable_rejected(self, field, monkeypatch):
+        # NaN fails every comparison, so the range checks are written to pass only
+        # inside the range; Q_nu and E_nu*Q_nu used to slip through them.
+        fields = {"q_mu": 1e-3, "q_nu": 1e-4, "emu_qmu": 1e-5, "enu_qnu": 1e-6, field: math.nan}
+        monkeypatch.setattr(decoy, "rates_for", lambda p, s: (*fields.values(), 0.0, 0.0))
+        for entry in (lambda: Observables(**fields),
+                      lambda: decoy_bounds(obs_with(**fields), GYS),
+                      lambda: evaluate(GYS, Baseline())):
+            with pytest.raises(ValueError) as raised:
+                entry()
+            assert not isinstance(raised.value, DegenerateObservablesError)
 
 
 class TestE1Upper:
     def test_exactly_zero_numerator(self):
         params = GYS.replace(distance=100.0)
         enu = 0.5 * params.dark_count * math.exp(-params.nu)
-        obs = obs_with(1e-4, 1e-5, 1e-6, enu)
-        assert e1_upper(obs.enu_qnu, math.exp(params.nu), 1e-4, params) == pytest.approx(
-            0.0, abs=1e-18)
+        bounds = decoy_bounds(obs_with(1e-4, q_nu_for(1e-4, 1e-4, params), 1e-6, enu), params)
+        assert bounds.y1_lower == pytest.approx(1e-4, rel=1e-9)
+        assert bounds.e1_upper == pytest.approx(0.0, abs=1e-18)
 
     def test_divergence_flagged(self):
         params = GYS.replace(distance=100.0)
-        obs = obs_with(1e-4, 1e-5, 1e-6, 1e-6)
-        assert math.isinf(e1_upper(obs.enu_qnu, math.exp(params.nu), 0.0, params))
+        bounds = decoy_bounds(obs_with(1e-3, 1e-6, 1e-7, 1e-6), params)
+        assert bounds.y1_lower == 0.0
+        assert math.isinf(bounds.e1_upper)
 
     def test_attack_frozen_point(self):
         params = GYS.replace(distance=100.0)
         obs = observables_for(params, QND(mu_prime=300.0, k=310.0))
-        y1 = decoy_bounds(obs, params).y1_lower
-        assert e1_upper(obs.enu_qnu, math.exp(params.nu), y1, params) == pytest.approx(
-            QND_E1, rel=1e-9)
+        assert decoy_bounds(obs, params).e1_upper == pytest.approx(QND_E1, rel=1e-9)
 
 
 class TestKeyRate:
@@ -190,7 +203,7 @@ class TestKeyRate:
         obs = obs_with(1e-3, 1e-4, 0.0, 0.0)
         from decoy_fsa.decoy import DecoyBounds
 
-        bounds = DecoyBounds(y1_lower=1e-3, q1_lower=q1_lower(1e-3, params.mu),
+        bounds = DecoyBounds(y1_lower=1e-3, q1_lower=params.mu * math.exp(-params.mu) * 1e-3,
                              e1_upper=0.0)
         assert key_rate(obs, bounds, params) == pytest.approx(
             params.q_sift * bounds.q1_lower, rel=1e-12
@@ -228,6 +241,60 @@ class TestKeyRate:
                            obs_base.enu_qnu)
             rates_e.append(key_rate(obs, bounds, params))
         assert all(b <= a + 1e-15 for a, b in zip(rates_e, rates_e[1:]))
+
+
+# tuple(evaluate(...)) at dark_count 1e-3, keyed by (e_detector, distance, strategy),
+# recorded bit for bit.  Every recipe runs at e_detector 0, where the intrinsic flip
+# is the identity, so only these points pin the order of its float operations; at
+# 0.04, unlike 0.033, 1 - 2e and 1 - e - e round apart.
+EVALUATE_PINS = {
+    (0.033, 20.0, "baseline"): (
+        0.009178463854129681, 0.001855060369083783, 0.0007698893071862831,
+        0.0005282169921797684, 0.01786209083096295, 0.005305327271583659,
+        0.06191801062551168, False, -0.0005634867003510089, math.nan),
+    (0.033, 20.0, "qnd"): (
+        0.012741958909799109, 0.00288025152867536, 0.001090449639940027,
+        0.0005945492865910604, 0.04052849592564793, 0.012037612883363417,
+        0.06170102171743405, False, 0.0007310998037924118, math.nan),
+    (0.033, 20.0, "pnrd"): (
+        0.01334686844833496, 0.0023426420683283593, 0.0009514764250909418,
+        0.0005490951404983456, 0.02767385713386964, 0.008219579127194123,
+        0.05582731022478265, False, -0.0001851252171386742, 1.7597696399895796e-05),
+    (0.033, 100.0, "baseline"): (
+        0.0011715601805691866, 0.001017872225571037, 0.0005056614859587868,
+        0.0005005897834438478, 0.0013477153526995573, 0.00040029306102366786,
+        0.3896307988635567, False, -0.0006978848581161336, math.nan),
+    (0.033, 100.0, "qnd"): (
+        0.001545243527275265, 0.0010873103869239484, 0.0006579299370223967,
+        0.0005252894774876235, 0.0028311519291141954, 0.0008408975008395747,
+        0.3689074003848446, False, -0.0009064657722621931, math.nan),
+    (0.033, 100.0, "pnrd"): (
+        0.0014110784470864417, 0.0010447021217364456, 0.0005354227679208261,
+        0.0005038519968513592, 0.0018836501929630576, 0.0005594742985814267,
+        0.3151863467227066, False, -0.0007960683623343194, 3.679452056891279e-07),
+    (0.04, 20.0, "qnd"): (
+        0.012741958909799109, 0.00288025152867536, 0.0011696010504426326,
+        0.0006072238804759134, 0.04052849592564793, 0.012037612883363417,
+        0.06827636279788998, False, 0.0004165388952655437, math.nan),
+    (0.04, 100.0, "pnrd"): (
+        0.0014110784470864417, 0.0010447021217364456, 0.0005379726933798343,
+        0.0005041292847488283, 0.0018836501929630576, 0.0005594742985814267,
+        0.3182814516744994, False, -0.0007981239860308651, 3.679452056891279e-07),
+}
+PIN_STRATEGIES = {
+    "baseline": Baseline(),
+    "qnd": QND(mu_prime=300.0, k=310.0),
+    "pnrd": PNRD(mu_prime=900.0, k=1000.0, eta_e=0.1),
+}
+
+
+@pytest.mark.parametrize("e_detector, distance, label", list(EVALUATE_PINS))
+def test_evaluate_is_pinned_bit_for_bit(e_detector, distance, label):
+    params = GYS.replace(e_detector=e_detector, dark_count=1e-3, distance=distance)
+    report = tuple(evaluate(params, PIN_STRATEGIES[label]))
+    expected = EVALUATE_PINS[e_detector, distance, label]
+    assert report[:-1] == expected[:-1]
+    assert report[-1] == expected[-1] or math.isnan(report[-1]) and math.isnan(expected[-1])
 
 
 def _crossing(params_for, lo, hi):

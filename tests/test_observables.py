@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decoy_fsa import faked_states
 from decoy_fsa.model import GYS
 from decoy_fsa.observables import (
     Baseline,
@@ -13,7 +14,6 @@ from decoy_fsa.observables import (
     Observables,
     PNRD,
     QND,
-    _attack_gains,
     observables_for,
     p_single,
     rates_for,
@@ -85,12 +85,12 @@ class TestQndObservables:
         with pytest.raises(DegenerateObservablesError):
             observables_for(params, QND(mu_prime=0.0, k=310.0))
 
-    def test_perfect_resend_limit(self):
+    def test_perfect_resend_limit(self, monkeypatch):
         # Forcing unit arrival and zero error leaves the bare single-photon gain.
-        obs = Observables(*_attack_gains(
-            1.0, 0.0, 0.48 * math.exp(-0.48), 0.05 * math.exp(-0.05), 0.0, 0.0
-        ))
+        monkeypatch.setattr(faked_states, "arrive_error", lambda dark, d: (1.0, 0.0))
+        obs = observables_for(GYS.replace(dark_count=0.0), QND(mu_prime=300.0, k=310.0))
         assert obs.q_mu == pytest.approx(0.48 * math.exp(-0.48), rel=1e-12)
+        assert obs.q_nu == pytest.approx(0.05 * math.exp(-0.05), rel=1e-12)
         assert obs.e_mu == 0.0
 
     def test_frozen_point(self):

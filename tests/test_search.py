@@ -159,6 +159,22 @@ class TestKmin:
             feasible = [search._probe(params, k, eta_e, False)[1] > 0.0 for k in ladder]
             assert feasible == sorted(feasible), (params, eta_e, list(zip(ladder, feasible)))
 
+    @pytest.mark.parametrize("params, eta_e", [
+        (GYS, None), (GYS.replace(e_detector=0.033), None), (GYS, 0.1),
+    ], ids=["qnd", "qnd-misaligned", "pnrd"])
+    def test_fig4_feasibility_switches_on_once(self, params, eta_e):
+        # The bisection's premise at every fig4 distance, on a fixed geometric
+        # ladder in (1, 1000]; the k_min reported there is itself feasible.
+        ladder = [1000.0 ** (i / 48) for i in range(1, 49)]
+        for distance in FIG4_DISTANCES:
+            p = params.replace(distance=distance)
+            feasible = [search._probe(p, k, eta_e, False)[1] > 0.0 for k in ladder]
+            assert feasible == sorted(feasible), (distance, list(zip(ladder, feasible)))
+            result = k_min(params, distance, eta_e=eta_e)
+            assert result.converged == feasible[-1], distance
+            if result.converged:
+                assert search._probe(p, result.k_min, eta_e, False)[1] > 0.0, distance
+
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             k_min(GYS, 50.0, tol=0.0)
