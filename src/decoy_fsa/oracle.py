@@ -10,7 +10,8 @@ mechanistically, in as much detail as the tallies read:
   uniform pulse index: by Poisson splitting, iid Poisson counts per pulse.
 * Gate: the eavesdropper's detector passes photons at keep = eta_e (nothing
   is drawn at eta_e = 1, the ideal QND strategy), and she attacks the pulses
-  left with exactly one photon.
+  left with exactly one photon.  Those pulses are counted by sorting the
+  passing photons' 4-byte pulse indices in place.
 * Blocked pulses reach Bob as a bare dark-count opportunity with probability d
   per gate: their click count is one Binomial(blocked, d) draw.  Each click's
   bit and Alice's bit are independent coins, so the clicks on detector 1 and
@@ -209,18 +210,37 @@ def _resend_click_tables(strategy: QND | PNRD, params: SystemParams) -> list[flo
 
 
 def draw_photons(rng: np.random.Generator, mean: float, m: int, keep: float) -> np.ndarray:
-    """Pulse index (int64) of each photon that passes, of Poisson(mean*m) photons on m pulses.
+    """Pulse index of each photon that passes, of Poisson(mean*m) photons on m pulses.
 
     Each photon passes independently with probability ``keep``: the number that
     pass is one Binomial(total, keep) draw (none at ``keep`` = 1), and only
-    those photons get a pulse index.
+    those photons get a pulse index.  The indices are int32, which numpy draws
+    from the same 32-bit stream as int64 ones, since m < 2**31.
     """
     import numpy as np
 
     total = rng.poisson(mean * m)
     if keep < 1.0:
         total = rng.binomial(total, keep)
-    return rng.integers(0, m, size=total, dtype=np.int64)
+    return rng.integers(0, m, size=total, dtype=np.int32)
+
+
+def _gate_counts(photons: np.ndarray) -> tuple[int, int]:
+    """Pulses holding exactly one photon and pulses holding any.
+
+    ``photons`` holds one pulse index per photon and is sorted in place: a
+    pulse's photons then sit side by side, each pulse starts where an index
+    differs from the one before it, and a pulse with one photon differs from
+    both neighbours.
+    """
+    import numpy as np
+
+    if photons.size < 2:
+        return photons.size, photons.size
+    photons.sort()
+    new = photons[1:] != photons[:-1]
+    single = int(np.count_nonzero(new[1:] & new[:-1])) + int(new[0]) + int(new[-1])
+    return single, 1 + int(np.count_nonzero(new))
 
 
 def _simulate_attack_shard(
@@ -233,10 +253,7 @@ def _simulate_attack_shard(
     resend: dict[str, list[int]],
     table: list[float],
 ) -> None:
-    import numpy as np
-
-    photons = draw_photons(rng, intensity, m, strategy.eta_e)
-    ka = int(np.count_nonzero(np.bincount(photons, minlength=m) == 1))
+    ka, _ = _gate_counts(draw_photons(rng, intensity, m, strategy.eta_e))
     kb = m - ka
 
     # Blocked pulses: a single dark-count opportunity; a click's bit and
@@ -296,10 +313,8 @@ def _simulate_baseline_shard(
     m: int,
     tally: dict[str, int],
 ) -> None:
-    import numpy as np
-
     eta = channel_transmittance(params.alpha, params.distance) * params.eta_bob
-    n_light = int(np.count_nonzero(np.bincount(draw_photons(rng, intensity, m, eta))))
+    _, n_light = _gate_counts(draw_photons(rng, intensity, m, eta))
     n_dark = int(rng.binomial(m - n_light, params.dark_count))
     n_clicked = n_light + n_dark
     # A light click errs with probability e_detector; a dark click's bit is a coin.

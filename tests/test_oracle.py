@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decoy_fsa import oracle
@@ -259,6 +259,42 @@ class TestTrivialCases:
             assert t["sifted"] + t["loss"] == 200_000
 
 
+class TestGateCounts:
+    @given(case=st.integers(1, 40).flatmap(
+        lambda m: st.tuples(st.just(m), st.lists(st.integers(0, m - 1), max_size=3 * m))))
+    @example(case=(5, []))
+    @example(case=(5, [3]))
+    @example(case=(1, [0]))
+    @example(case=(1, [0, 0, 0]))
+    @example(case=(6, [2] * 6))
+    @example(case=(6, [5, 0, 3, 1, 4]))
+    @example(case=(6, [5, 0, 3, 1, 4, 2]))
+    @example(case=(6, [5, 0, 3, 1, 4, 2, 2]))
+    @settings(max_examples=300, deadline=None)
+    def test_counts_equal_bincount(self, case):
+        # Exactly-one and lit pulse counts for sparse and dense shards alike
+        # (K = m - 1, m, m + 1), with the index dtype draw_photons gives.
+        m, pulses = case
+        photons = np.array(pulses, dtype=np.int32)
+        per_pulse = np.bincount(photons, minlength=m)
+        expected = (int(np.count_nonzero(per_pulse == 1)), int(np.count_nonzero(per_pulse)))
+        assert oracle._gate_counts(photons) == expected
+
+    def test_sparse_gate_memory_is_bounded(self):
+        # A 1e6-pulse shard holds about 4.8e5 signal photons, 1.9 MB as 4-byte
+        # indices sorted in place; a bincount over its 1e6 pulses would add
+        # 8 MB of 8-byte bins.
+        tracemalloc.start()
+        try:
+            run = simulate_pulses(GYS.replace(distance=50.0), QND(mu_prime=300.0, k=310.0),
+                                  1_000_000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+        _assert_tally_invariants(run, 1_000_000)
+
+
 class TestResendTable:
     @pytest.mark.parametrize("dark_count", [0.0, math.nextafter(1.0, 0.0)], ids=["d=0", "d=1-ulp"])
     @pytest.mark.parametrize("mu_prime", [0.0, 1e6])
@@ -350,7 +386,7 @@ class TestPhotonSource:
             histogram = np.zeros(5, dtype=np.int64)
             for _ in range(shards):
                 photons = draw_photons(rng, mu, m, keep)
-                assert photons.dtype == np.int64
+                assert photons.dtype == np.int32
                 histogram += np.bincount(np.bincount(photons, minlength=m), minlength=5)[:5]
             for n, count in enumerate(histogram):
                 assert_within_3sigma(count / (shards * m), poisson_pmf(mu * keep, n), shards * m,
@@ -363,13 +399,26 @@ class TestPhotonSource:
         photons = draw_photons(np.random.default_rng(5), mean, m, keep=1.0)
         rng = np.random.default_rng(5)
         expected = rng.integers(0, m, size=rng.poisson(mean * m), dtype=np.int64)
-        assert photons.dtype == np.int64
+        assert photons.dtype == np.int32
         assert np.array_equal(photons, expected)
 
     def test_nothing_passes_at_zero_keep(self):
         # keep = 0 is reached when the baseline transmittance underflows.
         photons = draw_photons(np.random.default_rng(5), 0.48, 10_000, keep=0.0)
-        assert photons.dtype == np.int64 and photons.size == 0
+        assert photons.dtype == np.int32 and photons.size == 0
+
+    @pytest.mark.parametrize("m, total", [(100_000, 4_999), (2_000, 100_001)])
+    def test_int32_and_int64_draws_share_one_stream(self, m, total):
+        # Pulse indices are drawn as int32, and the seeded streams were
+        # recorded from int64 draws: both dtypes must draw the same indices
+        # and leave the bit generator in the same state, the half of a 64-bit
+        # word that odd totals leave buffered included.  A numpy release that
+        # breaks this fails here.
+        rng32, rng64 = np.random.default_rng(11), np.random.default_rng(11)
+        small = rng32.integers(0, m, size=total, dtype=np.int32)
+        wide = rng64.integers(0, m, size=total, dtype=np.int64)
+        assert np.array_equal(small, wide)
+        assert rng32.bit_generator.state == rng64.bit_generator.state
 
     def test_draw_photons_runs_before_any_simulation(self):
         # The oracle imports numpy inside each function that uses it, so a
@@ -378,7 +427,7 @@ class TestPhotonSource:
             import numpy as np
             from decoy_fsa import oracle
             photons = oracle.draw_photons(np.random.default_rng(1), 0.5, 100, keep=0.5)
-            assert photons.dtype == np.int64 and photons.size
+            assert photons.dtype == np.int32 and photons.size
         """
         env = dict(os.environ, PYTHONPATH=str(Path(oracle.__file__).parents[1]))
         result = subprocess.run([sys.executable, "-c", script], env=env,
