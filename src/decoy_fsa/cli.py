@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from . import faked_states, search, security
+from . import faked_states, search
 from .model import GYS, ConfigError, SystemParams, efficiency_matrix
 from .observables import (
     AttackStrategy,
@@ -303,13 +303,12 @@ def _analytic_quantities(params: SystemParams, strategy: AttackStrategy) -> dict
     quantities = dict(vars(observables_for(params, strategy)))
     if isinstance(strategy, Baseline):
         return quantities
-    eff = efficiency_matrix(params, strategy.k)
-    fs = faked_states.FakedStateIntensities(strategy.mu_prime)
-    d = params.dark_count
-    p_click = faked_states.p_click_det0(fs, eff, d)  # detector 1 alike, by mirror symmetry
-    p_arrive, p_error = faked_states.arrive_error(faked_states.no_light(fs.mu_prime, *eff), d)
-    quantities.update(p_click0=p_click, p_click1=p_click, p_arrive=p_arrive, p_error=p_error)
-    quantities.update(vars(security.table1_probs(fs, eff)))  # r1, s0
+    # Both detectors click alike, by mirror symmetry; r1 = s0 is the blind-arm probability.
+    click, arrive, error, blind_arm = faked_states.resend_probs(
+        strategy.mu_prime, *efficiency_matrix(params, strategy.k), params.dark_count
+    )
+    quantities.update(p_click0=click, p_click1=click, p_arrive=arrive, p_error=error,
+                      r1=blind_arm, s0=blind_arm)
     return quantities
 
 

@@ -131,9 +131,9 @@ def q1_expansion(yields: Sequence[float], mu: float, nu: float) -> float:
 
 def evaluate(params: SystemParams, strategy: AttackStrategy) -> RateReport:
     """Full pipeline in one pass: observables -> decoy bounds -> rate (-> residual secure rate)."""
-    q_mu, q_nu, emu_qmu, enu_qnu, attacked_mu, blind_dark = rates_for(params, strategy)
+    q_mu, q_nu, emu_qmu, enu_qnu, attacked_mu, blind_arm = rates_for(params, strategy)
     e_mu = checked_qber(q_mu, q_nu, emu_qmu, enu_qnu)
     y1, q1, e1, clamped = _bounds(q_mu, q_nu, enu_qnu, params)
     rate = _key_rate(q_mu, e_mu, q1, e1, params)
-    r_abs = security.r_absolute(attacked_mu, blind_dark) if isinstance(strategy, PNRD) else math.nan
+    r_abs = security.r_absolute(attacked_mu, blind_arm) if isinstance(strategy, PNRD) else math.nan
     return RateReport(q_mu, q_nu, emu_qmu, enu_qnu, y1, q1, e1, clamped, rate, r_abs)

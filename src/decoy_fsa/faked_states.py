@@ -7,8 +7,8 @@ basis; a basis-matched faked state lands with full amplitude on the
 opposite-bit detector (blinded at that timing), while a mismatched one splits
 half/half across both detectors.  Each detector additionally fires a dark
 count with probability d per gate.  Averaging the four equally likely
-(result, basis) cases yields the closed forms below; the geometry is
-mirror-symmetric, so both detectors click alike.
+(result, basis) cases yields :func:`resend_probs`, of which each wrapper below
+reads one entry; the geometry is mirror-symmetric, so both detectors click alike.
 """
 
 from __future__ import annotations
@@ -33,35 +33,26 @@ class FakedStateIntensities:
         return cls(mu_prime)
 
 
-def no_light(mu_prime: float, matched: float, blind: float) -> tuple[float, float, float, float]:
-    """Chances of no light at a detector: at half amplitude and the matched or the blind
-    efficiency, at full amplitude and the blind one, and at both detectors of a split resend."""
-    return (
-        exp(-0.5 * mu_prime * matched),
-        exp(-0.5 * mu_prime * blind),
-        exp(-mu_prime * blind),
-        exp(-0.5 * mu_prime * matched - 0.5 * mu_prime * blind),
-    )
+def resend_probs(mu_prime: float, matched: float, blind: float, d: float) -> tuple[float, ...]:
+    """Probabilities (click, arrive, error, blind_arm) of one resent faked state.
 
-
-def p_click_det0(fs: FakedStateIntensities, eff: tuple[float, float], d: float) -> float:
-    """Probability that Bob's detector 0 clicks on a resent faked state."""
-    half_matched, half_blind, full_blind, _ = no_light(fs.mu_prime, *eff)
-    return 0.75 + 0.25 * d - 0.25 * (1.0 - d) * (half_matched + half_blind + full_blind)
-
-
-def p_click_det1(fs: FakedStateIntensities, eff: tuple[float, float], d: float) -> float:
-    """Probability that Bob's detector 1 clicks; the mirror symmetry makes it detector 0's."""
-    return p_click_det0(fs, eff, d)
-
-
-def arrive_error(dark: tuple[float, ...], d: float) -> tuple[float, float]:
-    """:func:`p_arrive` and :func:`p_error` from the :func:`no_light` chances ``dark``."""
-    half_matched, half_blind, full_blind, split = dark
+    ``click``: one given detector clicks.  ``arrive``: any click at all.
+    ``error``: a click with the wrong bit, double clicks resolving to a random
+    bit at half weight.  ``blind_arm``: a full-amplitude resend lights its blind
+    detector, dark counts aside; it sets both Table 1 outcomes r1 = s0.
+    ``matched`` and ``blind`` are Bob's efficiencies at the two timings and
+    ``d`` the dark count probability per gate.
+    """
+    # no light at half amplitude (matched, blind), at full (blind), at both arms of a split
+    half_matched = exp(-0.5 * mu_prime * matched)
+    half_blind = exp(-0.5 * mu_prime * blind)
+    full_blind = exp(-mu_prime * blind)
+    split = exp(-0.5 * mu_prime * matched - 0.5 * mu_prime * blind)
     quiet = 1.0 - d  # no dark count at one detector
     quiet2 = quiet**2
     full_arm = full_blind + full_blind
     split_arms = split + split
+    click = 0.75 + 0.25 * d - 0.25 * quiet * (half_matched + half_blind + full_blind)
     arrive = (
         1.0 - 0.25 * quiet * full_arm + 0.25 * d * quiet * full_arm - 0.25 * quiet2 * split_arms
     )
@@ -73,12 +64,22 @@ def arrive_error(dark: tuple[float, ...], d: float) -> tuple[float, float]:
         + 0.125 * d * quiet * full_arm
         + 0.5
     )
-    return arrive, error
+    return click, arrive, error, 1.0 - full_blind
+
+
+def p_click_det0(fs: FakedStateIntensities, eff: tuple[float, float], d: float) -> float:
+    """Probability that Bob's detector 0 clicks on a resent faked state."""
+    return resend_probs(fs.mu_prime, *eff, d)[0]
+
+
+def p_click_det1(fs: FakedStateIntensities, eff: tuple[float, float], d: float) -> float:
+    """Probability that Bob's detector 1 clicks; the mirror symmetry makes it detector 0's."""
+    return resend_probs(fs.mu_prime, *eff, d)[0]
 
 
 def p_arrive(fs: FakedStateIntensities, eff: tuple[float, float], d: float) -> float:
     """Total probability that a resent faked state produces any click at Bob."""
-    return arrive_error(no_light(fs.mu_prime, *eff), d)[0]
+    return resend_probs(fs.mu_prime, *eff, d)[1]
 
 
 def p_error(fs: FakedStateIntensities, eff: tuple[float, float], d: float) -> float:
@@ -86,4 +87,4 @@ def p_error(fs: FakedStateIntensities, eff: tuple[float, float], d: float) -> fl
 
     Double clicks resolve to a random bit and therefore carry half weight.
     """
-    return arrive_error(no_light(fs.mu_prime, *eff), d)[1]
+    return resend_probs(fs.mu_prime, *eff, d)[2]

@@ -129,10 +129,10 @@ def _resend_rates(params: SystemParams, strategy: QND | PNRD) -> tuple[float, ..
     count alike: E'Q = (1 - 2e)*EQ + e*Q, the rule the baseline's
     d/2 + e*(1 - exp(-eta*x)) embodies.  At e = 0 the composition is exact.
     """
-    matched, blind = efficiency_matrix(params, strategy.k)
-    dark = faked_states.no_light(strategy.mu_prime, matched, blind)
     d = params.dark_count
-    arrive, error = faked_states.arrive_error(dark, d)
+    _, arrive, error, blind_arm = faked_states.resend_probs(
+        strategy.mu_prime, *efficiency_matrix(params, strategy.k), d
+    )
     attacked_mu = p_single(params.mu, strategy.eta_e)
     attacked_nu = p_single(params.nu, strategy.eta_e)
     q_mu = arrive * attacked_mu + (1.0 - attacked_mu) * d
@@ -142,7 +142,7 @@ def _resend_rates(params: SystemParams, strategy: QND | PNRD) -> tuple[float, ..
     e = params.e_detector
     emu_qmu = (1.0 - 2.0 * e) * emu_qmu + e * q_mu
     enu_qnu = (1.0 - 2.0 * e) * enu_qnu + e * q_nu
-    return q_mu, q_nu, emu_qmu, enu_qnu, attacked_mu, dark[2]
+    return q_mu, q_nu, emu_qmu, enu_qnu, attacked_mu, blind_arm
 
 
 def _baseline_gains(params: SystemParams) -> tuple[float, float, float, float]:
@@ -169,8 +169,8 @@ def rates_for(params: SystemParams, strategy: AttackStrategy) -> tuple[float, ..
     """The observables as floats (q_mu, q_nu, emu_qmu, enu_qnu), unchecked, then two resend terms.
 
     The two are the attacked share p_single(mu, eta_e) of signal pulses and the
-    chance that a full-amplitude resend leaves its blind detector dark, which the
-    residual secure rate reads; both are NaN for the baseline.
+    blind-arm probability of :func:`faked_states.resend_probs`, which the residual
+    secure rate reads; both are NaN for the baseline.
     """
     if isinstance(strategy, _ResendAttack):
         return _resend_rates(params, strategy)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .faked_states import FakedStateIntensities, no_light
+from .faked_states import FakedStateIntensities, resend_probs
 from .model import SystemParams, efficiency_matrix
 from .observables import PNRD, QND, p_single
 
@@ -34,20 +34,19 @@ class Table1Probs:
 
 def table1_probs(fs: FakedStateIntensities, eff: tuple[float, float]) -> Table1Probs:
     """Outcome probabilities of the basis-mismatch resend cases."""
-    blind_arm = 1.0 - no_light(fs.mu_prime, *eff)[2]
+    blind_arm = resend_probs(fs.mu_prime, *eff, 0.0)[3]
     return Table1Probs(r1=blind_arm, s0=blind_arm)
 
 
-def r_absolute(attacked: float, blind_dark: float) -> float:
+def r_absolute(attacked: float, blind_arm: float) -> float:
     """Per-pulse rate of key bits the eavesdropper cannot know.
 
     (1/8)*p_att*(r1 + s0): the 1/4 chance that her basis differs from both
     parties', times the 1/2 per-case secure fraction, times the probability
     ``attacked`` = p_att that she mounted the resend at all.  r1 = s0 =
-    1 - ``blind_dark``, the chance that a full-amplitude resend lights its blind
-    detector.
+    ``blind_arm``, the chance that a full-amplitude resend lights its blind
+    detector (:func:`faked_states.resend_probs`).
     """
-    blind_arm = 1.0 - blind_dark
     return 0.125 * attacked * (blind_arm + blind_arm)
 
 
@@ -57,5 +56,5 @@ def r_absolute_for(params: SystemParams, strategy: PNRD | QND) -> float:
     ``decoy.evaluate`` reports it for PNRD only, and NaN for QND (the case
     eta_e = 1) and the baseline.
     """
-    blind_dark = no_light(strategy.mu_prime, *efficiency_matrix(params, strategy.k))[2]
-    return r_absolute(p_single(params.mu, strategy.eta_e), blind_dark)
+    blind_arm = resend_probs(strategy.mu_prime, *efficiency_matrix(params, strategy.k), 0.0)[3]
+    return r_absolute(p_single(params.mu, strategy.eta_e), blind_arm)

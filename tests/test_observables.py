@@ -87,7 +87,8 @@ class TestQndObservables:
 
     def test_perfect_resend_limit(self, monkeypatch):
         # Forcing unit arrival and zero error leaves the bare single-photon gain.
-        monkeypatch.setattr(faked_states, "arrive_error", lambda dark, d: (1.0, 0.0))
+        perfect = (math.nan, 1.0, 0.0, math.nan)  # click and blind arm play no part here
+        monkeypatch.setattr(faked_states, "resend_probs", lambda *args: perfect)
         obs = observables_for(GYS.replace(dark_count=0.0), QND(mu_prime=300.0, k=310.0))
         assert obs.q_mu == pytest.approx(0.48 * math.exp(-0.48), rel=1e-12)
         assert obs.q_nu == pytest.approx(0.05 * math.exp(-0.05), rel=1e-12)

@@ -71,6 +71,6 @@ class TestRAbsolute:
     def test_residual_rate_below_key_rate_across_distances(self):
         for distance in (20.0, 60.0, 100.0, 140.0):
             report = evaluate(GYS.replace(distance=distance), FIG7_STRATEGY)
-            assert report.r_absolute is not None
+            assert math.isfinite(report.r_absolute)
             assert report.rate > 0.0
             assert report.r_absolute < report.rate
