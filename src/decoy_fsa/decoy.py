@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import security
 from .model import SystemParams
@@ -103,30 +103,6 @@ def key_rate(obs: Observables, bounds: DecoyBounds, params: SystemParams) -> flo
     amplification term is already zero and the entropy would turn back down.
     """
     return _key_rate(obs.q_mu, obs.e_mu, bounds.q1_lower, bounds.e1_upper, params)
-
-
-def q1_expansion(yields: Sequence[float], mu: float, nu: float) -> float:
-    """Single-photon gain bound as a truncated series over per-photon-number yields.
-
-    ``yields[i-1]`` is the yield of an i-photon pulse, i = 1..N.  Every term
-    with i >= 2 is non-positive for nu < mu, which is what makes blocking all
-    multi-photon pulses optimal for the eavesdropper.  nu**2 must be a normal
-    float: below that the series loses its digits and then its value.
-    """
-    if not 0.0 < nu < mu:
-        raise ValueError(f"need 0 < nu < mu, got nu={nu}, mu={mu}")
-    if nu**2 < 2.0**-1022:  # the smallest normal float
-        raise ValueError(f"nu={nu} is too small: nu**2 underflows")
-    if len(yields) < 2:
-        raise ValueError("need yields up to photon number 2 at least")
-    for y in yields:
-        if not 0.0 <= y <= 1.0:
-            raise ValueError(f"yields must lie in [0, 1], got {y}")
-    prefactor = mu**2 * math.exp(-mu) / (mu * nu - nu**2)
-    total = 0.0
-    for i, y in enumerate(yields, start=1):
-        total += y * nu**2 * (nu ** (i - 2) - mu ** (i - 2)) / math.factorial(i)
-    return prefactor * total
 
 
 def evaluate(params: SystemParams, strategy: AttackStrategy) -> RateReport:

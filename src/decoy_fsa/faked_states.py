@@ -72,9 +72,8 @@ def p_click_det0(fs: FakedStateIntensities, eff: tuple[float, float], d: float) 
     return resend_probs(fs.mu_prime, *eff, d)[0]
 
 
-def p_click_det1(fs: FakedStateIntensities, eff: tuple[float, float], d: float) -> float:
-    """Probability that Bob's detector 1 clicks; the mirror symmetry makes it detector 0's."""
-    return resend_probs(fs.mu_prime, *eff, d)[0]
+# Detector 1 sees the mirror image of detector 0's geometry, so it clicks alike.
+p_click_det1 = p_click_det0
 
 
 def p_arrive(fs: FakedStateIntensities, eff: tuple[float, float], d: float) -> float:

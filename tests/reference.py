@@ -51,3 +51,23 @@ def poisson_pmf(mean: float, count: int) -> float:
         return 1.0 if count == 0 else 0.0
     # exp(k*ln(mean) - mean - ln(k!)) avoids overflow of mean**k for large k.
     return math.exp(count * math.log(mean) - mean - math.lgamma(count + 1))
+
+
+def photon_gain(mean: float, yields: list[float], dark_count: float) -> float:
+    """Q_x = sum over n of poisson_pmf(x, n)*Y_n, with Y_0 = dark_count and yields[n-1] = Y_n."""
+    return sum(poisson_pmf(mean, n) * y for n, y in enumerate([dark_count, *yields]))
+
+
+def q1_series(yields: list[float], mu: float, nu: float) -> float:
+    """The weak+vacuum Q1 bound as a series over photon-number yields, yields[i-1] = Y_i.
+
+    On the gains of :func:`photon_gain` the dark counts cancel, and every term
+    with i >= 2 is non-positive for nu < mu, which is what makes blocking all
+    multi-photon pulses optimal for the eavesdropper (Ma, Qi, Zhao & Lo, PRA 72,
+    012326 (2005)).
+    """
+    prefactor = mu**2 * math.exp(-mu) / (mu * nu - nu**2)
+    return prefactor * sum(
+        y * nu**2 * (nu ** (i - 2) - mu ** (i - 2)) / math.factorial(i)
+        for i, y in enumerate(yields, start=1)
+    )

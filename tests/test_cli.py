@@ -2,6 +2,7 @@
 
 import csv
 import gzip
+import hashlib
 import importlib.util
 import json
 import os
@@ -23,6 +24,41 @@ from decoy_fsa.search import SCAN_HEADER, k_min
 from reference import PARAM_EDGES
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+# `rate` stdout at 100 km, recorded as exact text.
+RATE_STDOUT = {
+    "baseline": (["--strategy", "baseline"],
+                 "strategy = baseline\nL = 100.0\nq_mu = 0.00017326018056940118\n"
+                 "e_mu = 0.00490591662323429\ny1_lower = 0.00035399335147054883\n"
+                 "q1_lower = 0.00010514169921588937\ne1_upper = 0.002462217538187087\n"
+                 "rate = 4.653887536499368e-05\nr_absolute = nan\nflags = \n"),
+    "qnd": (["--strategy", "qnd", "--k", "310", "--mu-prime", "300"],
+            "strategy = qnd\nL = 100.0\nq_mu = 0.00025122639054993415\n"
+            "e_mu = 0.01072378059224122\ny1_lower = 0.0008418030633977667\n"
+            "q1_lower = 0.0002500290023049935\ne1_upper = 0.008410937961817203\n"
+            "rate = 0.00010314446629775978\nr_absolute = nan\nflags = \n"),
+    "pnrd": (["--strategy", "pnrd", "--k", "1000", "--mu-prime", "900", "--eta-e", "0.1"],
+             "strategy = pnrd\nL = 100.0\nq_mu = 0.0003678821516913681\n"
+             "e_mu = 0.0044077516211348\ny1_lower = 0.0007929187144345174\n"
+             "q1_lower = 0.00023550956714129062\ne1_upper = 0.003323954254829048\n"
+             "rate = 0.00010480400288148727\nr_absolute = 3.679452056891279e-07\nflags = \n"),
+}
+
+# sha256 of the seeded `validate` CSV and --manifest at 2e4 pulses, recorded with numpy 2.4.
+VALIDATE_SHA256 = {
+    "baseline": (["--strategy", "baseline", "--distance", "60", "--seed", "8"],
+                 "73c122acf5f7631875020f20cc618aac2bf7f64218219aa1284c1cea01ac4552",
+                 "545bd652ab88c2b0b80cf3d54584ee2633ee5da7e5a49a333f00de2e902ecd11"),
+    "qnd": (["--strategy", "qnd", "--k", "310", "--mu-prime", "300", "--distance", "100",
+             "--seed", "4"],
+            "1e924468205c69a422534306e053eafda275e98ca3f6986f52bf1563621c25b0",
+            "c0f0dbd4a1904616427d79c77f6a350419988e2f895855ff808b87624c833f57"),
+    "pnrd": (["--strategy", "pnrd", "--k", "1000", "--mu-prime", "900", "--eta-e", "0.5",
+              "--distance", "50", "--seed", "3"],
+             "cc0cfa8c64a85bd0868ec212cdefe7fce6a6e8a9cd006f6134840be4c2cff3b5",
+             "4af4946488b5fb1a178d0d3e5bf4b35dca92d58608d9900c77b87fb13f9b6b64"),
+}
 
 
 def read_csv(path):
@@ -105,6 +141,21 @@ class TestRate:
         out = capsys.readouterr().out
         rate = float(next(line for line in out.splitlines() if line.startswith("rate")).split("=")[1])
         assert rate > 0.0
+
+    @pytest.mark.parametrize("label", list(RATE_STDOUT))
+    def test_stdout_is_pinned(self, capsys, label):
+        argv, expected = RATE_STDOUT[label]
+        assert main(["rate", *argv, "--distance", "100"]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+
+    def test_module_entry_point_exits_with_mains_code(self, tmp_path):
+        # `python -m decoy_fsa.cli` runs `sys.exit(main())`.
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        argv, expected = RATE_STDOUT["baseline"]
+        result = subprocess.run([sys.executable, "-m", "decoy_fsa.cli", "rate", *argv,
+                                 "--distance", "100"], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert (result.returncode, result.stdout, result.stderr) == (EXIT_OK, expected, "")
 
     def test_out_writes_the_printed_row(self, tmp_path, capsys):
         out = tmp_path / "rate.csv"
@@ -508,6 +559,15 @@ class TestValidate:
         assert record["strategy_fields"] == {"mu_prime": 300.0, "k": 310.0}
         for row in read_csv(out):
             assert float(row["empirical"]) == record["estimates"][row["quantity"]]
+
+    @pytest.mark.parametrize("label", list(VALIDATE_SHA256))
+    def test_seeded_outputs_are_pinned(self, tmp_path, label):
+        argv, csv_sha, manifest_sha = VALIDATE_SHA256[label]
+        out, manifest = tmp_path / "val.csv", tmp_path / "run.json"
+        assert main(["validate", *argv, "--n-pulses", "20000", "--out", str(out),
+                     "--manifest", str(manifest)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256(manifest.read_bytes()).hexdigest() == manifest_sha
 
     @pytest.mark.parametrize("n_pulses", ["0", "-5"])
     def test_non_positive_pulse_count_is_config_error(self, tmp_path, capsys, n_pulses):

@@ -1,4 +1,5 @@
-"""Tests for the decoy-state bounds, GLLP rate, and the gain series expansion."""
+"""Tests for the decoy-state bounds and the GLLP rate; the Q1 bound is checked against its
+series over photon-number yields."""
 
 import math
 from dataclasses import astuple
@@ -7,14 +8,7 @@ import numpy as np
 import pytest
 
 from decoy_fsa import decoy
-from decoy_fsa.decoy import (
-    RateReport,
-    binary_entropy,
-    decoy_bounds,
-    evaluate,
-    key_rate,
-    q1_expansion,
-)
+from decoy_fsa.decoy import RateReport, binary_entropy, decoy_bounds, evaluate, key_rate
 from decoy_fsa.model import GYS, channel_transmittance
 from decoy_fsa.observables import (
     Baseline,
@@ -24,6 +18,7 @@ from decoy_fsa.observables import (
     QND,
     observables_for,
 )
+from reference import photon_gain, q1_series
 
 # Frozen with 40-digit arithmetic.
 H2_011 = 0.49991595816452800
@@ -334,63 +329,54 @@ class TestPositiveRateRegion:
         assert crossing == pytest.approx(ATTACK_CROSSING_MISALIGNED, abs=0.05)
 
 
+# Declared before the first run of the tests below.
+SERIES_SEED = 20261020
+DARK_COUNTS = (0.0, 1.7e-6, 1e-3, 0.05)
+
+
+def q1_bound(yields, mu, nu, dark_count):
+    """``_bounds``' Q1 and clamp flag on the gains that photon-number yields give."""
+    params = GYS.replace(mu=mu, nu=nu, dark_count=dark_count)
+    q_mu, q_nu = (photon_gain(x, yields, dark_count) for x in (mu, nu))
+    _, q1, _, clamped = decoy._bounds(q_mu, q_nu, 0.0, params)
+    return q1, clamped
+
+
+@pytest.fixture(scope="module")
+def yield_draws():
+    """(mu, nu, dark_count, yields, Q1) at 5,000 seeded draws, the clamped ones skipped."""
+    rng = np.random.default_rng(SERIES_SEED)
+    kept = []
+    for _ in range(5000):
+        mu = float(rng.uniform(0.05, 2.0))
+        nu = float(rng.uniform(0.01, 0.95)) * mu
+        dark_count = DARK_COUNTS[int(rng.integers(len(DARK_COUNTS)))]
+        yields = rng.uniform(0.0, 1.0, size=30).tolist()
+        q1, clamped = q1_bound(yields, mu, nu, dark_count)
+        if not clamped:
+            kept.append((mu, nu, dark_count, yields, q1))
+    assert len(kept) >= 2000
+    return kept
+
+
 class TestQ1Expansion:
-    def test_all_zero_yields(self):
-        assert q1_expansion([0.0] * 10, 0.48, 0.05) == 0.0
+    """The Q1 bound every ``evaluate`` runs, against its series over photon-number yields."""
 
-    def test_single_photon_only_identity(self):
-        # With only Y_1 nonzero the series collapses to mu*exp(-mu)*Y_1.
-        for mu, nu, y in ((0.48, 0.05, 0.37), (0.7, 0.1, 0.9), (1.2, 0.3, 0.04)):
-            yields = [y] + [0.0] * 19
-            assert q1_expansion(yields, mu, nu) == pytest.approx(
-                mu * math.exp(-mu) * y, rel=1e-12
-            )
+    def test_bound_is_the_series(self, yield_draws):
+        worst = max(abs(q1 / q1_series(yields, mu, nu) - 1.0)
+                    for mu, nu, _, yields, q1 in yield_draws)
+        assert worst <= 1e-10
 
-    def test_multiphoton_terms_nonpositive_on_random_draws(self):
-        rng = np.random.default_rng(20240817)
-        for _ in range(1000):
-            mu = rng.uniform(0.05, 2.0)
-            nu = rng.uniform(0.0, 1.0) * mu * 0.9 + 1e-6
-            if not nu < mu:
-                continue
-            i = int(rng.integers(2, 30))
-            y = rng.uniform(0.0, 1.0)
-            term = y * nu**2 * (nu ** (i - 2) - mu ** (i - 2)) / math.factorial(i)
-            assert term <= 1e-18
+    def test_single_photon_only_identity(self, yield_draws):
+        # With only Y_1 set the series collapses to mu*exp(-mu)*Y_1.
+        worst = 0.0
+        for mu, nu, dark_count, yields, _ in yield_draws:
+            q1, clamped = q1_bound([yields[0]] + [0.0] * 29, mu, nu, dark_count)
+            if not clamped:
+                worst = max(worst, abs(q1 / (mu * math.exp(-mu) * yields[0]) - 1.0))
+        assert worst <= 1e-12
 
-    def test_blocking_multiphoton_is_an_upper_envelope(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            mu = rng.uniform(0.2, 1.5)
-            nu = rng.uniform(0.02, 0.9) * mu
-            yields = rng.uniform(0.0, 1.0, size=15).tolist()
-            blocked = [yields[0]] + [0.0] * 14
-            assert q1_expansion(blocked, mu, nu) >= q1_expansion(yields, mu, nu) - 1e-18
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            q1_expansion([0.5], 0.48, 0.05)
-        with pytest.raises(ValueError):
-            q1_expansion([0.5, 0.5], 0.05, 0.48)
-        with pytest.raises(ValueError, match="need 0 < nu < mu"):
-            q1_expansion([0.5, 0.5], 0.48, 0.0)
-        for y in (-5e-324, math.nextafter(1.0, 2.0), 1.5):
-            with pytest.raises(ValueError, match="yields must lie in"):
-                q1_expansion([0.5, y], 0.48, 0.05)
-
-    def test_nu_squared_must_be_a_normal_float(self):
-        # nu**2 reaches the smallest normal float at nu = 1.4917e-154; below it the
-        # series lost its digits, and then its value (0.0 at 1e-300, ZeroDivisionError
-        # at 5e-324).
-        assert q1_expansion([0.5, 0.5], 0.48, 1.495e-154) == pytest.approx(
-            0.5 * 0.48 * math.exp(-0.48), rel=1e-12)
-        for nu in (1.49e-154, 1e-300, 5e-324):
-            with pytest.raises(ValueError, match=r"nu=\S+ is too small"):
-                q1_expansion([0.5, 0.5], 0.48, nu)
-
-    def test_edges_of_the_domain_are_accepted(self):
-        # Two yields suffice, each may be 0 or 1, and nu may be small; the
-        # two-photon term of the series is identically zero.
-        assert q1_expansion([1.0, 0.0], 0.48, 1e-3) == pytest.approx(
-            0.48 * math.exp(-0.48), rel=1e-12)
-        assert q1_expansion([0.0, 1.0], 0.48, 0.05) == 0.0
+    def test_blocking_multiphoton_is_an_upper_envelope(self, yield_draws):
+        # Every term with n >= 2 is non-positive, so zeroing those yields never lowers Q1.
+        for mu, nu, dark_count, yields, q1 in yield_draws:
+            assert q1_bound([yields[0]] + [0.0] * 29, mu, nu, dark_count)[0] >= q1

@@ -347,6 +347,11 @@ class TestDistanceScan:
                                     b'nan,inf,-0,true,"x,y"\r\n'
                                     b'0.10000000000000001,-inf,0,false,"z"""\r\n')
 
+    def test_csv_without_rows_is_the_header_line(self, tmp_path):
+        out = tmp_path / "empty.csv"
+        write_csv(out, SCAN_HEADER, [])
+        assert out.read_bytes() == (",".join(SCAN_HEADER) + "\r\n").encode()
+
     def test_csv_serialization(self, tmp_path):
         rows = distance_scan(GYS, Baseline(), (10.0, 100.0))
         out = tmp_path / "scan.csv"
