@@ -293,7 +293,8 @@ def _cmd_kmin(args: argparse.Namespace, params: SystemParams) -> int:
         raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
     distances = _distances(args.distances)
     _check_reach(params, search.K_MAX, distances, ("distances",))
-    rows = [search.k_min(params, distance, tol=args.tol, eta_e=eta_e) for distance in distances]
+    rows = [search.k_min(params.replace(distance=distance), tol=args.tol, eta_e=eta_e)
+            for distance in distances]
     _write(args, f"kmin_{args.recipe or 'scan'}.csv", search.KMIN_HEADER, rows)
     return EXIT_OK
 

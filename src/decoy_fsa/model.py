@@ -40,6 +40,9 @@ class SystemParams:
         q_sift: sifting factor (1/2 for symmetric basis choice).
         e_detector: intrinsic detector error probability.
         distance: fiber length in km.
+
+    The end-to-end transmittance t_AB*eta_bob, with fiber transmittance
+    t_AB = 10^(-alpha*L/10), is the property :attr:`transmittance`.
     """
 
     alpha: float = 0.21
@@ -110,21 +113,17 @@ class SystemParams:
     def replace(self, **changes: float) -> "SystemParams":
         return dataclasses.replace(self, **changes)
 
+    @property
+    def transmittance(self) -> float:
+        """End-to-end transmittance t_AB*eta_bob over ``distance`` km of fiber."""
+        return 10.0 ** (-self.alpha * self.distance / 10.0) * self.eta_bob
+
 
 # GYS experimental constants.  The intrinsic detector error defaults to zero,
 # so that every error term comes from dark counts and the attack; the
 # experiment's own value is 3.3% (Gobby, Yuan & Shields, APL 84, 3762 (2004)),
 # and acceptance criterion 1 runs at it.
 GYS = SystemParams()
-
-
-def channel_transmittance(alpha: float, distance: float) -> float:
-    """Fiber transmittance 10^(-alpha*L/10) for loss ``alpha`` dB/km over L km."""
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and positive, got {alpha}")
-    if not 0.0 <= distance < math.inf:
-        raise ValueError(f"distance must be finite and non-negative, got {distance}")
-    return 10.0 ** (-alpha * distance / 10.0)
 
 
 def efficiency_matrix(params: SystemParams, k: float) -> tuple[float, float]:
@@ -137,8 +136,7 @@ def efficiency_matrix(params: SystemParams, k: float) -> tuple[float, float]:
     """
     if not k >= 1.0:
         raise ValueError(f"mismatch ratio k must be >= 1, got {k}")
-    t_ab = channel_transmittance(params.alpha, params.distance)
-    eta_blind = t_ab * params.eta_bob * BLIND_FLOOR
+    eta_blind = params.transmittance * BLIND_FLOOR
     if not eta_blind >= sys.float_info.min:
         raise ValueError(f"blind efficiency {eta_blind} is below the smallest normal float")
     eta_matched = k * eta_blind

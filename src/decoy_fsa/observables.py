@@ -7,7 +7,7 @@ from math import exp, inf, nan
 from typing import ClassVar, Union
 
 from . import faked_states
-from .model import SystemParams, channel_transmittance, efficiency_matrix
+from .model import SystemParams, efficiency_matrix
 
 _SLACK = 1e-12
 
@@ -154,7 +154,7 @@ def _baseline_gains(params: SystemParams) -> tuple[float, float, float, float]:
     (half of it in E_x*Q_x), negligible at GYS's d = 1.7e-6.  The mismatch geometry
     plays no role because the users calibrate at the nominal timing.
     """
-    eta = channel_transmittance(params.alpha, params.distance) * params.eta_bob
+    eta = params.transmittance
     d = params.dark_count
     unlit_mu = exp(-eta * params.mu)
     unlit_nu = exp(-eta * params.nu)

@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .model import SystemParams, channel_transmittance, efficiency_matrix
+from .model import SystemParams, efficiency_matrix
 from .observables import AttackStrategy, Baseline, PNRD, QND, strategy_label
 
 DEFAULT_SHARD_SIZE = 1_000_000
@@ -313,8 +313,7 @@ def _simulate_baseline_shard(
     m: int,
     tally: dict[str, int],
 ) -> None:
-    eta = channel_transmittance(params.alpha, params.distance) * params.eta_bob
-    _, n_light = _gate_counts(draw_photons(rng, intensity, m, eta))
+    _, n_light = _gate_counts(draw_photons(rng, intensity, m, params.transmittance))
     n_dark = int(rng.binomial(m - n_light, params.dark_count))
     n_clicked = n_light + n_dark
     # A light click errs with probability e_detector; a dark click's bit is a coin.

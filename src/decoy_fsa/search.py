@@ -102,8 +102,8 @@ def best_rate_over_mu_prime(
 
 
 def _best(mu_primes: Sequence[float], rates: Sequence[float]) -> tuple[float, float]:
-    """First (mu_prime, rate) with the top rate; (mu_primes[0], -inf) if none beats -inf."""
-    return max([(mu_primes[0], -math.inf), *zip(mu_primes, rates)], key=lambda t: t[1])
+    """First (mu_prime, rate) with the top rate, every rate being finite or -inf."""
+    return max(zip(mu_primes, rates), key=lambda t: t[1])
 
 
 def _probe(
@@ -129,13 +129,8 @@ def _probe(
     return best_rate_over_mu_prime(params, k, fine, eta_e)
 
 
-def k_min(
-    params: SystemParams,
-    distance: float,
-    tol: float = 0.5,
-    eta_e: float | None = None,
-) -> KminResult:
-    """Bisection for the smallest k in (1, 1000] with an attainable positive rate.
+def k_min(params: SystemParams, *, tol: float = 0.5, eta_e: float | None = None) -> KminResult:
+    """Bisection for the smallest k in (1, 1000] with an attainable positive rate at ``params``.
 
     k = 1 is not probed: there p_arrive = 1 - (1-d)^2*h^2 = 2*p_error, h = exp(-mu'*eta_blind/2),
     so QND and PNRD give e_mu = 1/2 at any mu', d and e_detector; were k = 1 feasible, k_min would
@@ -143,16 +138,15 @@ def k_min(
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    p = params.replace(distance=distance)
-    if _probe(p, K_MAX, eta_e, False)[1] <= 0.0:
-        return KminResult(distance, math.inf, math.nan, converged=False)
+    if _probe(params, K_MAX, eta_e, False)[1] <= 0.0:
+        return KminResult(params.distance, math.inf, math.nan, converged=False)
     lo, hi = 1.0, K_MAX
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # tol below the float spacing of k
             break
-        lo, hi = (lo, mid) if _probe(p, mid, eta_e, False)[1] > 0.0 else (mid, hi)
-    return KminResult(distance, hi, _probe(p, hi, eta_e, True)[0], converged=True)
+        lo, hi = (lo, mid) if _probe(params, mid, eta_e, False)[1] > 0.0 else (mid, hi)
+    return KminResult(params.distance, hi, _probe(params, hi, eta_e, True)[0], converged=True)
 
 
 def sweep_grid(

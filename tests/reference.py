@@ -3,6 +3,8 @@
 import math
 import sys
 
+from decoy_fsa.decoy import binary_entropy  # pinned on its own in test_decoy.py
+
 _TINY = 5e-324  # the smallest positive float
 _BIG = sys.float_info.max
 _MU_MAX = math.log(_BIG)  # exp(mu) overflows past it
@@ -71,3 +73,29 @@ def q1_series(yields: list[float], mu: float, nu: float) -> float:
         y * nu**2 * (nu ** (i - 2) - mu ** (i - 2)) / math.factorial(i)
         for i, y in enumerate(yields, start=1)
     )
+
+
+def k_infinity(params, eta_e: float) -> float:
+    """The mismatch ratio below which no faked-state attack has a positive rate at d = 0.
+
+    At d = 0 the attacked rate is q_sift*A*[mu*e^-mu*Y*(1 - H(kappa*E)) - a_mu*f_ec*H(E)],
+    with A the arrival probability, a_mu the attacked fraction and E the users' single-photon
+    error estimate; Y and kappa depend only on (mu, nu, eta_e), and QND is eta_e = 1.  E* zeroes
+    the bracket.  E = 1/2 - (1 - 2e)*delta/A, and delta/A is largest for the weakest faked
+    states, where it tends to (k - 1)/(2(k + 3)); E reaches E* there at k = (1 + 3r)/(1 - r),
+    r = (1 - 2E*)/(1 - 2e).
+    """
+    mu, nu = params.mu, params.nu
+    a_mu = mu * eta_e * math.exp(-mu * eta_e)
+    y = eta_e * (mu * math.exp(nu * (1.0 - eta_e)) - nu * math.exp(mu * (1.0 - eta_e))) / (mu - nu)
+    kappa = eta_e * math.exp(nu * (1.0 - eta_e)) / y
+
+    def bracket(e: float) -> float:
+        return (mu * math.exp(-mu) * y * (1.0 - binary_entropy(min(kappa * e, 0.5)))
+                - a_mu * params.f_ec * binary_entropy(e))
+
+    lo, hi = 0.0, 0.5
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if bracket(mid) > 0.0 else (lo, mid)
+    r = (1.0 - 2.0 * lo) / (1.0 - 2.0 * params.e_detector)
+    return (1.0 + 3.0 * r) / (1.0 - r)

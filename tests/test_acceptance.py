@@ -113,7 +113,7 @@ def test_criterion_3_minimum_attackable_mismatch():
     """min over L in [1, 140] of k_min(L) equals 35 +- 2 and k_min is monotone."""
     start = time.monotonic()
     distances = [1.0] + [float(x) for x in range(10, 141, 10)]
-    results = [k_min(GYS, distance, tol=0.5) for distance in distances]
+    results = [k_min(GYS.replace(distance=distance), tol=0.5) for distance in distances]
     elapsed = time.monotonic() - start
     assert all(r.converged for r in results), "k_min failed to converge somewhere"
     ks = [r.k_min for r in results]

@@ -417,7 +417,7 @@ class TestSweepAndKmin:
         assert main(["kmin", "--distances", "50", "--eta-e", "0.1",
                      "--out", str(kmin_out)]) == EXIT_OK
         [row] = read_csv(kmin_out)
-        expected = k_min(GYS, 50.0, eta_e=0.1)
+        expected = k_min(GYS.replace(distance=50.0), eta_e=0.1)
         assert [float(row[name]) for name in ("L", "k_min", "mu_prime_at_kmin")] == [
             expected.distance, expected.k_min, expected.mu_prime_at_kmin]
         assert row["converged"] == str(expected.converged).lower()

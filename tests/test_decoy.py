@@ -9,7 +9,7 @@ import pytest
 
 from decoy_fsa import decoy
 from decoy_fsa.decoy import RateReport, binary_entropy, decoy_bounds, evaluate, key_rate
-from decoy_fsa.model import GYS, channel_transmittance
+from decoy_fsa.model import GYS
 from decoy_fsa.observables import (
     Baseline,
     DegenerateObservablesError,
@@ -77,7 +77,7 @@ class TestY1Lower:
         # weak+vacuum bound must sit at or just below that truth.
         for distance in (20.0, 60.0, 100.0, 140.0):
             params = GYS.replace(distance=distance)
-            eta = channel_transmittance(params.alpha, distance) * params.eta_bob
+            eta = params.transmittance
             truth = eta + params.dark_count - eta * params.dark_count
             bound = decoy_bounds(observables_for(params, Baseline()), params).y1_lower
             assert bound <= truth * (1.0 + 1e-9)

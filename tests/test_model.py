@@ -12,7 +12,6 @@ from decoy_fsa.model import (
     GYS,
     ConfigError,
     SystemParams,
-    channel_transmittance,
     efficiency_matrix,
 )
 from reference import PARAM_EDGES, next_down, next_up, poisson_pmf
@@ -23,23 +22,29 @@ T_200KM = 6.3095734448019325e-5
 P1_SIGNAL = 0.29701602806694761
 
 
+def _fiber(length: float) -> float:
+    """Transmittance of ``length`` km of GYS fiber alone (eta_bob = 1)."""
+    return GYS.replace(distance=length, eta_bob=1.0).transmittance
+
+
 class TestChannelTransmittance:
     def test_zero_length_fiber(self):
-        assert channel_transmittance(0.21, 0.0) == 1.0
+        assert _fiber(0.0) == 1.0
+        assert GYS.replace(distance=0.0).transmittance == GYS.eta_bob
 
     def test_100km(self):
-        assert channel_transmittance(0.21, 100.0) == pytest.approx(T_100KM, rel=1e-12)
+        assert _fiber(100.0) == pytest.approx(T_100KM, rel=1e-12)
 
     def test_200km(self):
-        assert channel_transmittance(0.21, 200.0) == pytest.approx(T_200KM, rel=1e-12)
+        assert _fiber(200.0) == pytest.approx(T_200KM, rel=1e-12)
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
-            channel_transmittance(0.21, -1.0)
+            GYS.replace(distance=-1.0)
 
     def test_nonpositive_alpha_rejected(self):
         with pytest.raises(ValueError):
-            channel_transmittance(0.0, 10.0)
+            GYS.replace(alpha=0.0)
 
     @given(
         l1=st.floats(min_value=0.0, max_value=150.0),
@@ -47,14 +52,12 @@ class TestChannelTransmittance:
     )
     @settings(max_examples=200, deadline=None)
     def test_multiplicative(self, l1, l2):
-        combined = channel_transmittance(0.21, l1 + l2)
-        split = channel_transmittance(0.21, l1) * channel_transmittance(0.21, l2)
-        assert combined == pytest.approx(split, rel=1e-12)
+        assert _fiber(l1 + l2) == pytest.approx(_fiber(l1) * _fiber(l2), rel=1e-12)
 
     @given(st.floats(min_value=0.0, max_value=299.0))
     @settings(max_examples=100, deadline=None)
     def test_strictly_decreasing(self, length):
-        assert channel_transmittance(0.21, length + 1.0) < channel_transmittance(0.21, length)
+        assert _fiber(length + 1.0) < _fiber(length)
 
 
 class TestDemEfficiencies:
@@ -201,14 +204,6 @@ MODEL_GUARDS = [
     *(pytest.param(lambda v, f=field: SystemParams(**{f: v}), inside, outside, ConfigError,
                    rf"\b{field}\b", id=f"SystemParams.{field}={outside!r}")
       for field, inside, outside in PARAM_EDGES),
-    pytest.param(lambda v: channel_transmittance(v, 10.0), 5e-324, 0.0, ValueError, "alpha",
-                 id="channel_transmittance.alpha"),
-    pytest.param(lambda v: channel_transmittance(0.21, v), 0.0, -5e-324, ValueError, "distance",
-                 id="channel_transmittance.distance"),
-    *(pytest.param(lambda v: channel_transmittance(v, 10.0), 0.21, bad, ValueError, "alpha",
-                   id=f"channel_transmittance.alpha={bad}") for bad in (math.nan, math.inf)),
-    *(pytest.param(lambda v: channel_transmittance(0.21, v), 10.0, bad, ValueError, "distance",
-                   id=f"channel_transmittance.distance={bad}") for bad in (math.nan, math.inf)),
     pytest.param(lambda v: efficiency_matrix(_UNIT_LINK, v), 1.0, next_down(1.0),
                  ValueError, r"\bk\b", id="efficiency_matrix.k"),
     pytest.param(lambda v: efficiency_matrix(_UNIT_LINK, v), 1e4, next_up(1e4),

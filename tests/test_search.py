@@ -18,6 +18,7 @@ from decoy_fsa.search import (
     sweep_grid,
     write_csv,
 )
+from reference import k_infinity
 
 COARSE_GRID = tuple(float(x) for x in range(0, 2001, 10))
 FIG4_DISTANCES = (1.0,) + tuple(float(x) for x in range(10, 141, 10))
@@ -86,7 +87,7 @@ class TestKmin:
         params = GYS
         tol = 1.0
         for distance in (5.0, 100.0):
-            result = k_min(params, distance, tol=tol)
+            result = k_min(params.replace(distance=distance), tol=tol)
             assert result.converged
             k = 1.0
             scan_k = None
@@ -102,28 +103,29 @@ class TestKmin:
             assert abs(result.k_min - scan_k) <= tol
 
     def test_monotone_in_distance(self):
-        results = [k_min(GYS, L, tol=0.5) for L in (1.0, 40.0, 80.0, 120.0, 140.0)]
+        distances = (1.0, 40.0, 80.0, 120.0, 140.0)
+        results = [k_min(GYS.replace(distance=L), tol=0.5) for L in distances]
         assert all(r.converged for r in results)
         ks = [r.k_min for r in results]
         assert all(b >= a - 0.5 for a, b in zip(ks, ks[1:]))
 
     def test_short_distance_regression(self):
-        result = k_min(GYS, 5.0, tol=0.5)
+        result = k_min(GYS.replace(distance=5.0), tol=0.5)
         assert result.converged
         assert result.k_min == pytest.approx(18.6, abs=1.0)
 
     def test_unattackable_distance_flagged(self):
-        result = k_min(GYS, 250.0, tol=0.5)
+        result = k_min(GYS.replace(distance=250.0), tol=0.5)
         assert not result.converged
         assert math.isinf(result.k_min)
 
     def test_all_degenerate_distance_flagged(self):
-        result = k_min(GYS.replace(dark_count=0.0), 900.0)
+        result = k_min(GYS.replace(dark_count=0.0, distance=900.0))
         assert not result.converged
         assert math.isinf(result.k_min)
 
     def test_tolerance_below_float_spacing_terminates(self, monkeypatch):
-        reference = k_min(GYS, 50.0, tol=1e-12).k_min
+        reference = k_min(GYS.replace(distance=50.0), tol=1e-12).k_min
         probes = 0
         probe = search._probe
 
@@ -135,7 +137,7 @@ class TestKmin:
             return probe(*args)
 
         monkeypatch.setattr(search, "_probe", counted)
-        result = k_min(GYS, 50.0, tol=1e-300)
+        result = k_min(GYS.replace(distance=50.0), tol=1e-300)
         assert result.converged
         assert result.k_min == pytest.approx(reference, abs=1e-12)
 
@@ -170,21 +172,40 @@ class TestKmin:
             p = params.replace(distance=distance)
             feasible = [search._probe(p, k, eta_e, False)[1] > 0.0 for k in ladder]
             assert feasible == sorted(feasible), (distance, list(zip(ladder, feasible)))
-            result = k_min(params, distance, eta_e=eta_e)
+            result = k_min(p, eta_e=eta_e)
             assert result.converged == feasible[-1], distance
             if result.converged:
                 assert search._probe(p, result.k_min, eta_e, False)[1] > 0.0, distance
 
+    @pytest.mark.parametrize("e_detector", [0.0, 0.033])
+    @pytest.mark.parametrize("eta_e", [None, 0.5, 0.1, 0.01], ids=["qnd", "pnrd-0.5", "pnrd-0.1",
+                                                                  "pnrd-0.01"])
+    def test_matches_the_closed_form_bound(self, eta_e, e_detector):
+        # Without dark counts the bound does not depend on distance.  Beyond 140 km
+        # k_min falls below it, through the rounding of 1 - exp(-x) at small x.
+        params = GYS.replace(dark_count=0.0, e_detector=e_detector)
+        bound = k_infinity(params, 1.0 if eta_e is None else eta_e)
+        for distance in (1.0, 70.0, 140.0):
+            result = k_min(params.replace(distance=distance), tol=1e-3, eta_e=eta_e)
+            assert bound <= result.k_min <= bound + 0.01, (distance, bound, result)
+
+    def test_distance_comes_from_params(self):
+        result = k_min(GYS.replace(distance=250.0), tol=0.5)
+        assert result.distance == 250.0
+        # The old form k_min(params, distance) would take the distance as tol.
+        with pytest.raises(TypeError):
+            k_min(GYS, 50.0)
+
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
-            k_min(GYS, 50.0, tol=0.0)
+            k_min(GYS.replace(distance=50.0), tol=0.0)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_non_finite_tolerance(self, tol):
         # An infinite tolerance used to skip the bisection and report
         # k_min = 1000 as converged.
         with pytest.raises(ValueError, match="tol must be finite"):
-            k_min(GYS, 50.0, tol=tol)
+            k_min(GYS.replace(distance=50.0), tol=tol)
 
 
 class TestKminEarlyStop:
@@ -234,7 +255,7 @@ class TestKminEarlyStop:
         (GYS, 1.0, 1e-12, None),
     ])
     def test_matches_full_search_bit_for_bit(self, params, distance, tol, eta_e):
-        result = k_min(params, distance, tol=tol, eta_e=eta_e)
+        result = k_min(params.replace(distance=distance), tol=tol, eta_e=eta_e)
         expected = self.reference_k_min(params, distance, tol, eta_e)
         # repr compares floats bit for bit and treats nan == nan
         assert repr((result.k_min, result.mu_prime_at_kmin, result.converged)) == repr(expected)
@@ -252,13 +273,13 @@ class TestKminEarlyStop:
 
         monkeypatch.setattr(search, "evaluate", counted)
         for distance in FIG4_DISTANCES:
-            k_min(GYS, distance)
+            k_min(GYS.replace(distance=distance))
         assert calls <= 12_248
 
     def test_grid_edge_flag(self):
-        edge = {d: k_min(GYS, d).on_grid_edge for d in FIG4_DISTANCES}
+        edge = {d: k_min(GYS.replace(distance=d)).on_grid_edge for d in FIG4_DISTANCES}
         assert edge == {d: d >= 20.0 for d in FIG4_DISTANCES}
-        assert not k_min(GYS, 250.0).on_grid_edge
+        assert not k_min(GYS.replace(distance=250.0)).on_grid_edge
 
     def test_argmax_probe_refines_down_to_zero_intensity(self):
         # At small k the least negative rate is the dark counts' alone, at mu' = 0, so
