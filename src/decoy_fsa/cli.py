@@ -78,8 +78,8 @@ def _distances(text: str) -> tuple[float, ...]:
     return distances
 
 
-def _search_eta_e(args: argparse.Namespace) -> float | None:
-    if args.eta_e is not None and not 0.0 < args.eta_e <= 1.0:
+def _search_eta_e(args: argparse.Namespace) -> float:
+    if not 0.0 < args.eta_e <= 1.0:
         raise ConfigError(f"--eta-e must be in (0, 1], got {args.eta_e}")
     return args.eta_e
 
@@ -151,7 +151,7 @@ _RECIPES: dict[str, dict[str | None, dict[str, object]]] = {
     },
     "sweep": {
         None: {"distance": None, "k_values": "10:1000:10", "mu_prime_values": "0:2000:20",
-               "eta_e": None},
+               "eta_e": 1.0},
         "fig2": {"distance": 100.0},
     },
     "kmin": {
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="detector efficiency mismatch ratio")
             p.add_argument("--mu-prime", type=float, default=None,
                            help="faked-state mean photon number")
-        p.add_argument("--eta-e", type=float, default=None,
+        p.add_argument("--eta-e", type=float, default=None if with_strategy else 1.0,
                        help="eavesdropper PNRD single-photon efficiency")
 
     p_rate = sub.add_parser("rate", help="evaluate one (distance, strategy) point")
@@ -319,10 +319,11 @@ def _cmd_validate(args: argparse.Namespace, params: SystemParams) -> int:
         raise ConfigError(f"--n-pulses must be >= 1, got {args.n_pulses}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    quantities = _analytic_quantities(params, strategy)  # a point it rejects runs no Monte Carlo
     empirical = simulate_pulses(params, strategy, args.n_pulses, args.seed)
     rows = []
     failed = []
-    for name, analytic in _analytic_quantities(params, strategy).items():
+    for name, analytic in quantities.items():
         successes, trials = empirical.counts[name]
         sigma, z, ok = binomial_verdict(successes, trials, analytic)
         if not ok:

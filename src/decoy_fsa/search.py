@@ -75,8 +75,9 @@ KMIN_HEADER = _header(KminResult)
 SCAN_HEADER = _header(ScanRow)
 
 
-def _rate_at(params: SystemParams, k: float, mu_prime: float, eta_e: float | None) -> float:
-    strategy = QND(mu_prime, k) if eta_e is None else PNRD(mu_prime, k, eta_e)
+def _rate_at(params: SystemParams, k: float, mu_prime: float, eta_e: float) -> float:
+    # QND is the PNRD attack at eta_e = 1, built without the residual rate PNRD reports.
+    strategy = QND(mu_prime, k) if eta_e == 1.0 else PNRD(mu_prime, k, eta_e)
     try:
         return evaluate(params, strategy).rate
     except DegenerateObservablesError:
@@ -88,7 +89,7 @@ def best_rate_over_mu_prime(
     params: SystemParams,
     k: float,
     mu_primes: Sequence[float],
-    eta_e: float | None = None,
+    eta_e: float = 1.0,
 ) -> tuple[float, float]:
     """Grid-maximize the attacked key rate over the faked-state intensity.
 
@@ -106,9 +107,7 @@ def _best(mu_primes: Sequence[float], rates: Sequence[float]) -> tuple[float, fl
     return max(zip(mu_primes, rates), key=lambda t: t[1])
 
 
-def _probe(
-    params: SystemParams, k: float, eta_e: float | None, argmax: bool
-) -> tuple[float, float]:
+def _probe(params: SystemParams, k: float, eta_e: float, argmax: bool) -> tuple[float, float]:
     """Coarse grid pass over [0, 2000] step 10, then a unit-step local refinement.
 
     Without ``argmax`` only the sign of rate* counts: the coarse pass runs top
@@ -129,7 +128,7 @@ def _probe(
     return best_rate_over_mu_prime(params, k, fine, eta_e)
 
 
-def k_min(params: SystemParams, *, tol: float = 0.5, eta_e: float | None = None) -> KminResult:
+def k_min(params: SystemParams, *, tol: float = 0.5, eta_e: float = 1.0) -> KminResult:
     """Bisection for the smallest k in (1, 1000] with an attainable positive rate at ``params``.
 
     k = 1 is not probed: there p_arrive = 1 - (1-d)^2*h^2 = 2*p_error, h = exp(-mu'*eta_blind/2),
@@ -153,7 +152,7 @@ def sweep_grid(
     params: SystemParams,
     k_values: Sequence[float],
     mu_prime_values: Sequence[float],
-    eta_e: float | None = None,
+    eta_e: float = 1.0,
 ) -> list[SweepRow]:
     """Full Cartesian rate evaluation, k-major row order.
 

@@ -422,6 +422,16 @@ class TestSweepAndKmin:
             expected.distance, expected.k_min, expected.mu_prime_at_kmin]
         assert row["converged"] == str(expected.converged).lower()
 
+    @pytest.mark.parametrize("argv, qnd_argv", [
+        (["kmin", "--recipe", "fig4"], ["kmin", "--recipe", "fig4", "--eta-e", "1"]),
+        (["sweep", "--recipe", "fig2"], ["sweep", "--distance", "100", "--eta-e", "1"]),
+    ], ids=["kmin-fig4", "sweep-fig2"])
+    def test_eta_e_1_is_the_default_qnd_search(self, tmp_path, argv, qnd_argv):
+        default, qnd = tmp_path / "default.csv", tmp_path / "qnd.csv"
+        assert main([*argv, "--out", str(default)]) == EXIT_OK
+        assert main([*qnd_argv, "--out", str(qnd)]) == EXIT_OK
+        assert qnd.read_bytes() == default.read_bytes()
+
     def test_kmin_all_degenerate_distance_is_flagged(self, tmp_path):
         config = tmp_path / "dark.json"
         config.write_text(json.dumps({"dark_count": 0}))
@@ -568,6 +578,23 @@ class TestValidate:
                      "--manifest", str(manifest)]) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
         assert hashlib.sha256(manifest.read_bytes()).hexdigest() == manifest_sha
+
+    @pytest.mark.parametrize("config, argv, err", [
+        ({"dark_count": 0}, ["--strategy", "qnd", "--k", "310", "--mu-prime", "0"],
+         "error: signal gain is zero; QBER undefined\n"),
+        ({"eta_bob": 1, "mu": 20, "nu": 1}, ["--strategy", "baseline", "--distance", "0"],
+         "error: need 0 <= E_mu*Q_mu <= Q_mu <= 1, got (8.5e-07, 1.0000016979388464)\n"),
+    ], ids=["zero-gain", "gain-above-1"])
+    def test_rejected_closed_forms_exit_before_the_monte_carlo(
+        self, tmp_path, capsys, monkeypatch, config, argv, err
+    ):
+        runs = []
+        monkeypatch.setattr(cli, "simulate_pulses", lambda *args: runs.append(args))
+        path, out = tmp_path / "c.json", tmp_path / "val.csv"
+        path.write_text(json.dumps(config))
+        assert main(["validate", "--config", str(path), *argv, "--out", str(out)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == err
+        assert runs == [] and not out.exists()
 
     @pytest.mark.parametrize("n_pulses", ["0", "-5"])
     def test_non_positive_pulse_count_is_config_error(self, tmp_path, capsys, n_pulses):

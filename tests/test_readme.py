@@ -5,7 +5,7 @@ import shlex
 from pathlib import Path
 
 import decoy_fsa
-from decoy_fsa.cli import build_parser
+from decoy_fsa.cli import _resolve_recipe_flags, build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,7 +23,8 @@ def test_root_exports_resolve():
 
 def test_command_lines_parse():
     # Every command of the command-line block, backslash continuations joined;
-    # parsed only, not run (argparse exits on a flag it does not know).
+    # parsed and checked against its recipe, not run (argparse exits on a flag it
+    # does not know, the recipe check raises on a flag its recipe sets).
     section = README.read_text().split("## Command line", 1)[1]
     block = re.search(r"```bash\n(.*?)```", section, re.DOTALL).group(1)
     lines = block.replace("\\\n", " ").splitlines()
@@ -31,4 +32,6 @@ def test_command_lines_parse():
     assert commands
     for program, *argv in commands:
         assert program == "decoy-fsa"
-        assert build_parser().parse_args(argv).command == argv[0]
+        args = build_parser().parse_args(argv)
+        assert args.command == argv[0]
+        _resolve_recipe_flags(args)

@@ -157,12 +157,12 @@ class TestKmin:
                 e_detector=rng.choice((0.0, 0.01, 0.033, 0.1)),
                 distance=rng.uniform(0.0, 150.0),
             )
-            eta_e = None if i % 2 == 0 else rng.uniform(0.05, 1.0)
+            eta_e = 1.0 if i % 2 == 0 else rng.uniform(0.05, 1.0)
             feasible = [search._probe(params, k, eta_e, False)[1] > 0.0 for k in ladder]
             assert feasible == sorted(feasible), (params, eta_e, list(zip(ladder, feasible)))
 
     @pytest.mark.parametrize("params, eta_e", [
-        (GYS, None), (GYS.replace(e_detector=0.033), None), (GYS, 0.1),
+        (GYS, 1.0), (GYS.replace(e_detector=0.033), 1.0), (GYS, 0.1),
     ], ids=["qnd", "qnd-misaligned", "pnrd"])
     def test_fig4_feasibility_switches_on_once(self, params, eta_e):
         # The bisection's premise at every fig4 distance, on a fixed geometric
@@ -178,16 +178,43 @@ class TestKmin:
                 assert search._probe(p, result.k_min, eta_e, False)[1] > 0.0, distance
 
     @pytest.mark.parametrize("e_detector", [0.0, 0.033])
-    @pytest.mark.parametrize("eta_e", [None, 0.5, 0.1, 0.01], ids=["qnd", "pnrd-0.5", "pnrd-0.1",
+    @pytest.mark.parametrize("eta_e", [1.0, 0.5, 0.1, 0.01], ids=["qnd", "pnrd-0.5", "pnrd-0.1",
                                                                   "pnrd-0.01"])
     def test_matches_the_closed_form_bound(self, eta_e, e_detector):
         # Without dark counts the bound does not depend on distance.  Beyond 140 km
         # k_min falls below it, through the rounding of 1 - exp(-x) at small x.
         params = GYS.replace(dark_count=0.0, e_detector=e_detector)
-        bound = k_infinity(params, 1.0 if eta_e is None else eta_e)
+        bound = k_infinity(params, eta_e)
         for distance in (1.0, 70.0, 140.0):
             result = k_min(params.replace(distance=distance), tol=1e-3, eta_e=eta_e)
             assert bound <= result.k_min <= bound + 0.01, (distance, bound, result)
+
+    def test_dark_counts_keep_k_min_above_the_closed_form_bound(self):
+        # k_inf is the d = 0 bound; with dark counts k_min may rise above it (the mu'
+        # cap binds) but falls no more than tol below it.  The sample's seed was fixed
+        # before its first run and is not re-drawn.
+        rng = random.Random(1729)
+        converged = 0
+        for _ in range(40):
+            params = GYS.replace(
+                dark_count=10.0 ** rng.uniform(-8.0, -1.5),
+                e_detector=rng.choice((0.0, 0.01, 0.033)),
+                distance=rng.uniform(0.0, 150.0),
+            )
+            eta_e = rng.choice((1.0, 0.5, 0.1, 0.01))
+            result = k_min(params, tol=0.5, eta_e=eta_e)
+            if result.converged:
+                converged += 1
+                assert result.k_min >= k_infinity(params, eta_e) - 0.5, (params, eta_e, result)
+        assert converged
+
+    def test_qnd_is_eta_e_1(self):
+        # QND is the default efficiency 1.0; the old spelling eta_e=None fails loudly.
+        for distance in (1.0, 140.0):
+            params = GYS.replace(distance=distance)
+            assert repr(k_min(params, eta_e=1.0)) == repr(k_min(params))
+        with pytest.raises(TypeError):
+            k_min(GYS, eta_e=None)
 
     def test_distance_comes_from_params(self):
         result = k_min(GYS.replace(distance=250.0), tol=0.5)
@@ -210,7 +237,7 @@ class TestKmin:
 
 class TestKminEarlyStop:
     @staticmethod
-    def reference_k_min(params, distance, tol=0.5, eta_e=None):
+    def reference_k_min(params, distance, tol=0.5, eta_e=1.0):
         """The full two-stage search at every probe, as before probes stopped early."""
 
         def two_stage_best(p, k):
@@ -242,17 +269,23 @@ class TestKminEarlyStop:
                 lo = mid
         return hi, mu_at_hi, True
 
-    @pytest.mark.parametrize("params, distance, tol, eta_e", [
-        (GYS, 1.0, 0.5, None),
-        (GYS, 50.0, 0.5, None),
-        (GYS, 140.0, 0.5, None),
-        (GYS, 250.0, 0.5, None),
+    CASES = [
+        (GYS, 1.0, 0.5, 1.0),
+        (GYS, 50.0, 0.5, 1.0),
+        (GYS, 140.0, 0.5, 1.0),
+        (GYS, 250.0, 0.5, 1.0),
         (GYS, 50.0, 0.5, 0.1),
-        (GYS.replace(e_detector=0.033), 100.0, 0.5, None),
-        (GYS.replace(dark_count=0.0), 900.0, 0.5, None),
-        (GYS, 50.0, 1e-12, None),
+        (GYS.replace(e_detector=0.033), 100.0, 0.5, 1.0),
+        (GYS.replace(dark_count=0.0), 900.0, 0.5, 1.0),
+        (GYS, 50.0, 1e-12, 1.0),
         # near k_min the coarse grid misses the positive rates that the fine grid finds
-        (GYS, 1.0, 1e-12, None),
+        (GYS, 1.0, 1e-12, 1.0),
+    ]
+
+    # The ids keep their earlier form, in which QND's eta_e read None.
+    @pytest.mark.parametrize("params, distance, tol, eta_e", CASES, ids=[
+        f"params{i}-{distance}-{tol}-{'None' if eta_e == 1.0 else eta_e}"
+        for i, (_, distance, tol, eta_e) in enumerate(CASES)
     ])
     def test_matches_full_search_bit_for_bit(self, params, distance, tol, eta_e):
         result = k_min(params.replace(distance=distance), tol=tol, eta_e=eta_e)
@@ -285,7 +318,7 @@ class TestKminEarlyStop:
         # At small k the least negative rate is the dark counts' alone, at mu' = 0, so
         # the fine grid around the coarse argmax must start at 0, not above it.
         params = GYS.replace(distance=100.0)
-        mu_prime, rate = search._probe(params, 2.0, None, True)
+        mu_prime, rate = search._probe(params, 2.0, 1.0, True)
         assert mu_prime == 0.0
         assert rate == evaluate(params, QND(mu_prime=0.0, k=2.0)).rate
 
