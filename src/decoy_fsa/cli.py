@@ -271,7 +271,7 @@ def _cmd_rate(args: argparse.Namespace, params: SystemParams) -> int:
 def _cmd_scan(args: argparse.Namespace, params: SystemParams) -> int:
     distances = _distances(args.distances)
     strategies = _build_strategies(args, params, distances)
-    rows = [row for s in strategies for row in search.distance_scan(params, s, distances)]
+    rows = search.distance_scan(params, strategies, distances)
     _write(args, f"scan_{args.recipe or strategy_label(strategies[0])}.csv",
            search.SCAN_HEADER, rows)
     return EXIT_OK

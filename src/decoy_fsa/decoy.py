@@ -8,11 +8,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import security
 from .model import SystemParams
-from .observables import PNRD, AttackStrategy, Observables, checked_qber, rates_for
+from .observables import (
+    PNRD,
+    QND,
+    AttackStrategy,
+    Observables,
+    checked_qber,
+    rates_for,
+    resend_curve,
+)
 from .observables import observables_for  # noqa: F401 -- a name bench/tracing.py binds here
 
 
@@ -67,26 +75,32 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _bounds(
-    q_mu: float, q_nu: float, enu_qnu: float, params: SystemParams
-) -> tuple[float, float, float, bool]:
-    """The :class:`DecoyBounds` fields Y1, Q1 = mu*exp(-mu)*Y1, e1 and the clamp flag.
+def _bounds_for(params: SystemParams) -> Callable[[float, float, float], tuple]:
+    """The bounds at ``params``: (q_mu, q_nu, enu_qnu) -> the :class:`DecoyBounds` fields Y1,
+    Q1 = mu*exp(-mu)*Y1, e1 and the clamp flag.
 
-    Y1 is the weak+vacuum bound clamped to [0, 1]; e1 is +inf at Y1 = 0."""
+    Y1 is the weak+vacuum bound clamped to [0, 1]; e1 is +inf at Y1 = 0.  The
+    terms of ``params`` alone are computed once, each by the operations the
+    whole expression would apply, left to right, so that no bit moves."""
     mu, nu, d = params.mu, params.nu, params.dark_count
-    mu2, nu2, exp_nu = mu**2, nu**2, math.exp(nu)
-    raw_y1 = (
-        mu / (mu * nu - nu2)
-        * (q_nu * exp_nu - q_mu * math.exp(mu) * nu2 / mu2 - (mu2 - nu2) / mu2 * d)
-    )
-    y1 = min(max(raw_y1, 0.0), 1.0)
-    e1 = math.inf if y1 <= 0.0 else (enu_qnu * exp_nu - 0.5 * d) / (y1 * nu)
-    return y1, mu * math.exp(-mu) * y1, e1, raw_y1 != y1
+    mu2, nu2, exp_nu, exp_mu = mu**2, nu**2, math.exp(nu), math.exp(mu)
+    scale = mu / (mu * nu - nu2)
+    dark = (mu2 - nu2) / mu2 * d
+    half_d = 0.5 * d
+    single = mu * math.exp(-mu)
+
+    def bounds(q_mu: float, q_nu: float, enu_qnu: float) -> tuple[float, float, float, bool]:
+        raw_y1 = scale * (q_nu * exp_nu - q_mu * exp_mu * nu2 / mu2 - dark)
+        y1 = min(max(raw_y1, 0.0), 1.0)
+        e1 = math.inf if y1 <= 0.0 else (enu_qnu * exp_nu - half_d) / (y1 * nu)
+        return y1, single * y1, e1, raw_y1 != y1
+
+    return bounds
 
 
 def decoy_bounds(obs: Observables, params: SystemParams) -> DecoyBounds:
     """Run the bound estimators and record the clamp/divergence flags."""
-    return DecoyBounds(*_bounds(obs.q_mu, obs.q_nu, obs.enu_qnu, params))
+    return DecoyBounds(*_bounds_for(params)(obs.q_mu, obs.q_nu, obs.enu_qnu))
 
 
 def _key_rate(q_mu: float, e_mu: float, q1: float, e1_raw: float, params: SystemParams) -> float:
@@ -105,11 +119,36 @@ def key_rate(obs: Observables, bounds: DecoyBounds, params: SystemParams) -> flo
     return _key_rate(obs.q_mu, obs.e_mu, bounds.q1_lower, bounds.e1_upper, params)
 
 
-def evaluate(params: SystemParams, strategy: AttackStrategy) -> RateReport:
-    """Full pipeline in one pass: observables -> decoy bounds -> rate (-> residual secure rate)."""
-    q_mu, q_nu, emu_qmu, enu_qnu, attacked_mu, blind_arm = rates_for(params, strategy)
+def _report(rates: tuple, bounds: Callable, params: SystemParams, pnrd: bool) -> RateReport:
+    """Check the observables of :func:`observables.rates_for`, bound them and rate them."""
+    q_mu, q_nu, emu_qmu, enu_qnu, attacked_mu, blind_arm = rates
     e_mu = checked_qber(q_mu, q_nu, emu_qmu, enu_qnu)
-    y1, q1, e1, clamped = _bounds(q_mu, q_nu, enu_qnu, params)
+    y1, q1, e1, clamped = bounds(q_mu, q_nu, enu_qnu)
     rate = _key_rate(q_mu, e_mu, q1, e1, params)
-    r_abs = security.r_absolute(attacked_mu, blind_arm) if isinstance(strategy, PNRD) else math.nan
+    r_abs = security.r_absolute(attacked_mu, blind_arm) if pnrd else math.nan
     return RateReport(q_mu, q_nu, emu_qmu, enu_qnu, y1, q1, e1, clamped, rate, r_abs)
+
+
+def attack_curve(
+    params: SystemParams, k: float, eta_e: float, pnrd: bool
+) -> Callable[[float], RateReport]:
+    """The attack's :class:`RateReport` as a function of mu_prime at fixed (params, k, eta_e).
+
+    Everything that does not depend on mu_prime (the efficiencies, the gated
+    shares p_single and the bounds' constants) is computed once, and k and eta_e
+    are checked here; each call checks its mu_prime.  ``r_absolute`` is NaN
+    unless ``pnrd``: QND is the PNRD attack at eta_e = 1 without the residual rate.
+    """
+    rates, bounds = resend_curve(params, k, eta_e), _bounds_for(params)
+    return lambda mu_prime: _report(rates(mu_prime), bounds, params, pnrd)
+
+
+def evaluate(params: SystemParams, strategy: AttackStrategy) -> RateReport:
+    """Full pipeline in one pass: observables -> decoy bounds -> rate (-> residual secure rate).
+
+    An attack is its :func:`attack_curve` at the strategy's mu_prime.
+    """
+    if isinstance(strategy, (QND, PNRD)):
+        curve = attack_curve(params, strategy.k, strategy.eta_e, isinstance(strategy, PNRD))
+        return curve(strategy.mu_prime)
+    return _report(rates_for(params, strategy), _bounds_for(params), params, False)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp, inf, nan
-from typing import ClassVar, Union
+from typing import Callable, ClassVar, Union
 
 from . import faked_states
 from .model import SystemParams, efficiency_matrix
@@ -21,6 +21,11 @@ class Baseline:
     """No eavesdropper; standard linear-channel weak+vacuum model."""
 
 
+def _check_mu_prime(mu_prime: float) -> None:
+    if not 0.0 <= mu_prime < inf:
+        raise ValueError(f"mu_prime must be finite and non-negative, got {mu_prime}")
+
+
 @dataclass(frozen=True)
 class _ResendAttack:
     """Faked-state intercept-resend gated on a measured photon count of one.
@@ -34,8 +39,7 @@ class _ResendAttack:
     k: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.mu_prime < inf:
-            raise ValueError(f"mu_prime must be finite and non-negative, got {self.mu_prime}")
+        _check_mu_prime(self.mu_prime)
         if not 1.0 <= self.k < inf:
             raise ValueError(f"k must be finite and >= 1, got {self.k}")
 
@@ -118,31 +122,41 @@ def p_single(mu: float, eta_e: float) -> float:
     return mu * eta_e * exp(-mu * eta_e)
 
 
-def _resend_rates(params: SystemParams, strategy: QND | PNRD) -> tuple[float, ...]:
-    """:func:`rates_for` when resends are gated on a measured photon count of one.
+def resend_curve(params: SystemParams, k: float, eta_e: float) -> Callable[[float], tuple]:
+    """:func:`rates_for` along mu_prime when resends are gated on a measured photon count of one.
 
-    The QND strategy is the case eta_e = 1, where p_single(mu, 1) = mu*exp(-mu)
-    attacks every true single-photon pulse.  Pulses the eavesdropper does not
-    resend reach Bob as vacuum and click only via the dark count probability d,
-    erring half the time.  The attack leaves Bob's receiver as it is, so its
-    intrinsic detector error e flips the bit of every click, faked state or dark
-    count alike: E'Q = (1 - 2e)*EQ + e*Q, the rule the baseline's
-    d/2 + e*(1 - exp(-eta*x)) embodies.  At e = 0 the composition is exact.
+    Everything but the faked states' own probabilities is computed once, by the
+    operations the per-point expressions would apply, and the returned function
+    checks each mu_prime it is given.  The QND strategy
+    is the case eta_e = 1, where p_single(mu, 1) = mu*exp(-mu) attacks every
+    true single-photon pulse.  Pulses the eavesdropper does not resend reach Bob
+    as vacuum and click only via the dark count probability d, erring half the
+    time.  The attack leaves Bob's receiver as it is, so its intrinsic detector
+    error e flips the bit of every click, faked state or dark count alike:
+    E'Q = (1 - 2e)*EQ + e*Q, the rule the baseline's d/2 + e*(1 - exp(-eta*x))
+    embodies.  At e = 0 the composition is exact.
     """
     d = params.dark_count
-    _, arrive, error, blind_arm = faked_states.resend_probs(
-        strategy.mu_prime, *efficiency_matrix(params, strategy.k), d
-    )
-    attacked_mu = p_single(params.mu, strategy.eta_e)
-    attacked_nu = p_single(params.nu, strategy.eta_e)
-    q_mu = arrive * attacked_mu + (1.0 - attacked_mu) * d
-    q_nu = arrive * attacked_nu + (1.0 - attacked_nu) * d
-    emu_qmu = error * attacked_mu + 0.5 * (1.0 - attacked_mu) * d
-    enu_qnu = error * attacked_nu + 0.5 * (1.0 - attacked_nu) * d
+    matched, blind = efficiency_matrix(params, k)
+    attacked_mu = p_single(params.mu, eta_e)
+    attacked_nu = p_single(params.nu, eta_e)
+    dark_mu = (1.0 - attacked_mu) * d
+    dark_nu = (1.0 - attacked_nu) * d
+    dark_err_mu = 0.5 * (1.0 - attacked_mu) * d
+    dark_err_nu = 0.5 * (1.0 - attacked_nu) * d
     e = params.e_detector
-    emu_qmu = (1.0 - 2.0 * e) * emu_qmu + e * q_mu
-    enu_qnu = (1.0 - 2.0 * e) * enu_qnu + e * q_nu
-    return q_mu, q_nu, emu_qmu, enu_qnu, attacked_mu, blind_arm
+    kept = 1.0 - 2.0 * e
+
+    def rates(mu_prime: float) -> tuple[float, ...]:
+        _check_mu_prime(mu_prime)
+        _, arrive, error, blind_arm = faked_states.resend_probs(mu_prime, matched, blind, d)
+        q_mu = arrive * attacked_mu + dark_mu
+        q_nu = arrive * attacked_nu + dark_nu
+        emu_qmu = kept * (error * attacked_mu + dark_err_mu) + e * q_mu
+        enu_qnu = kept * (error * attacked_nu + dark_err_nu) + e * q_nu
+        return q_mu, q_nu, emu_qmu, enu_qnu, attacked_mu, blind_arm
+
+    return rates
 
 
 def _baseline_gains(params: SystemParams) -> tuple[float, float, float, float]:
@@ -173,7 +187,7 @@ def rates_for(params: SystemParams, strategy: AttackStrategy) -> tuple[float, ..
     secure rate reads; both are NaN for the baseline.
     """
     if isinstance(strategy, _ResendAttack):
-        return _resend_rates(params, strategy)
+        return resend_curve(params, strategy.k, strategy.eta_e)(strategy.mu_prime)
     if isinstance(strategy, Baseline):
         return (*_baseline_gains(params), nan, nan)
     raise TypeError(f"unknown strategy type: {type(strategy).__name__}")

@@ -9,17 +9,11 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .decoy import evaluate
+from .decoy import attack_curve, evaluate
 from .model import SystemParams
-from .observables import (
-    AttackStrategy,
-    DegenerateObservablesError,
-    PNRD,
-    QND,
-    strategy_label,
-)
+from .observables import AttackStrategy, DegenerateObservablesError, strategy_label
 
 K_MAX = 1000.0
 
@@ -75,14 +69,18 @@ KMIN_HEADER = _header(KminResult)
 SCAN_HEADER = _header(ScanRow)
 
 
-def _rate_at(params: SystemParams, k: float, mu_prime: float, eta_e: float) -> float:
-    # QND is the PNRD attack at eta_e = 1, built without the residual rate PNRD reports.
-    strategy = QND(mu_prime, k) if eta_e == 1.0 else PNRD(mu_prime, k, eta_e)
-    try:
-        return evaluate(params, strategy).rate
-    except DegenerateObservablesError:
-        # zero gain (no faked states, no darks): nothing to distill
-        return -math.inf
+def _rate_curve(params: SystemParams, k: float, eta_e: float) -> Callable[[float], float]:
+    """The attacked key rate along mu_prime; a degenerate point (zero gain: no faked
+    states, no darks) has nothing to distill and reads -inf."""
+    curve = attack_curve(params, k, eta_e, False)  # the search reads no residual rate
+
+    def rate(mu_prime: float) -> float:
+        try:
+            return curve(mu_prime).rate
+        except DegenerateObservablesError:
+            return -math.inf
+
+    return rate
 
 
 def best_rate_over_mu_prime(
@@ -93,13 +91,15 @@ def best_rate_over_mu_prime(
 ) -> tuple[float, float]:
     """Grid-maximize the attacked key rate over the faked-state intensity.
 
+    One :func:`decoy.attack_curve` at (params, k, eta_e) serves the whole grid.
     Returns (mu_prime*, rate*); ties break toward the smaller intensity.  A
     negative rate* means the attack is infeasible at this mismatch ratio; it is
     -inf, at the first intensity, when every point is degenerate.
     """
     if len(mu_primes) == 0:
         raise ValueError("mu_prime grid must be non-empty")
-    return _best(mu_primes, [_rate_at(params, k, mu_prime, eta_e) for mu_prime in mu_primes])
+    rate = _rate_curve(params, k, eta_e)
+    return _best(mu_primes, [rate(mu_prime) for mu_prime in mu_primes])
 
 
 def _best(mu_primes: Sequence[float], rates: Sequence[float]) -> tuple[float, float]:
@@ -115,9 +115,10 @@ def _probe(params: SystemParams, k: float, eta_e: float, argmax: bool) -> tuple[
     coarse argmax.
     """
     coarse = [i * COARSE_MU_STEP for i in range(int(COARSE_MU_MAX / COARSE_MU_STEP) + 1)]
+    rate = _rate_curve(params, k, eta_e)
     rates = []
     for mu_prime in reversed(coarse):
-        rates.append(_rate_at(params, k, mu_prime, eta_e))
+        rates.append(rate(mu_prime))
         if rates[-1] > 0.0 and not argmax:
             return mu_prime, rates[-1]
     mu_star, _ = _best(coarse, rates[::-1])
@@ -154,14 +155,15 @@ def sweep_grid(
     mu_prime_values: Sequence[float],
     eta_e: float = 1.0,
 ) -> list[SweepRow]:
-    """Full Cartesian rate evaluation, k-major row order.
+    """Full Cartesian rate evaluation, k-major row order, one attack curve per k.
 
     Rows with a negative rate are retained and flagged infeasible.
     """
     rows = []
     for k in k_values:
+        rate_at = _rate_curve(params, k, eta_e)
         for mu_prime in mu_prime_values:
-            rate = _rate_at(params, k, mu_prime, eta_e)
+            rate = rate_at(mu_prime)
             rows.append(SweepRow(k=k, mu_prime=mu_prime, rate=rate, feasible=rate > 0.0))
     return rows
 
@@ -188,10 +190,14 @@ def scan_row_for(params: SystemParams, strategy: AttackStrategy) -> ScanRow:
 
 
 def distance_scan(
-    params: SystemParams, strategy: AttackStrategy, l_values: Sequence[float]
+    params: SystemParams, strategies: Sequence[AttackStrategy], l_values: Sequence[float]
 ) -> list[ScanRow]:
-    """Evaluate one strategy across distances, one :func:`scan_row_for` row each."""
-    return [scan_row_for(params.replace(distance=distance), strategy) for distance in l_values]
+    """One :func:`scan_row_for` row per strategy and distance, strategy-major.
+
+    Each distance's parameters are built once and shared by every strategy.
+    """
+    points = [params.replace(distance=distance) for distance in l_values]
+    return [scan_row_for(point, strategy) for strategy in strategies for point in points]
 
 
 def _text(value: object) -> str:

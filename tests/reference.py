@@ -99,3 +99,45 @@ def k_infinity(params, eta_e: float) -> float:
         lo, hi = (mid, hi) if bracket(mid) > 0.0 else (lo, mid)
     r = (1.0 - 2.0 * lo) / (1.0 - 2.0 * params.e_detector)
     return (1.0 + 3.0 * r) / (1.0 - r)
+
+
+def one_pass_report(params, strategy):
+    """``evaluate`` of a QND or PNRD strategy as one straight pass, every expression in the
+    order the per-point pipeline used before its mu_prime-free terms were computed once.
+
+    The faked-state probabilities, the gating share and the checks come from the package;
+    every float operation after them is written out here, so a reassociated term moves bits.
+    """
+    from decoy_fsa.decoy import RateReport
+    from decoy_fsa.faked_states import resend_probs
+    from decoy_fsa.model import efficiency_matrix
+    from decoy_fsa.observables import PNRD, checked_qber, p_single
+
+    d, e = params.dark_count, params.e_detector
+    _, arrive, error, blind_arm = resend_probs(
+        strategy.mu_prime, *efficiency_matrix(params, strategy.k), d
+    )
+    attacked_mu = p_single(params.mu, strategy.eta_e)
+    attacked_nu = p_single(params.nu, strategy.eta_e)
+    q_mu = arrive * attacked_mu + (1.0 - attacked_mu) * d
+    q_nu = arrive * attacked_nu + (1.0 - attacked_nu) * d
+    emu_qmu = error * attacked_mu + 0.5 * (1.0 - attacked_mu) * d
+    enu_qnu = error * attacked_nu + 0.5 * (1.0 - attacked_nu) * d
+    emu_qmu = (1.0 - 2.0 * e) * emu_qmu + e * q_mu
+    enu_qnu = (1.0 - 2.0 * e) * enu_qnu + e * q_nu
+    e_mu = checked_qber(q_mu, q_nu, emu_qmu, enu_qnu)
+    mu, nu = params.mu, params.nu
+    mu2, nu2, exp_nu = mu**2, nu**2, math.exp(nu)
+    raw_y1 = (
+        mu / (mu * nu - nu2)
+        * (q_nu * exp_nu - q_mu * math.exp(mu) * nu2 / mu2 - (mu2 - nu2) / mu2 * d)
+    )
+    y1 = min(max(raw_y1, 0.0), 1.0)
+    e1 = math.inf if y1 <= 0.0 else (enu_qnu * exp_nu - 0.5 * d) / (y1 * nu)
+    q1 = mu * math.exp(-mu) * y1
+    rate = params.q_sift * (
+        -q_mu * params.f_ec * binary_entropy(e_mu)
+        + q1 * (1.0 - binary_entropy(min(max(e1, 0.0), 0.5)))
+    )
+    r_abs = 0.125 * attacked_mu * (blind_arm + blind_arm) if isinstance(strategy, PNRD) else math.nan
+    return RateReport(q_mu, q_nu, emu_qmu, enu_qnu, y1, q1, e1, raw_y1 != y1, rate, r_abs)

@@ -264,7 +264,7 @@ def test_criterion_7_property_suites():
     for fn in (p_click_det0, p_click_det1, p_arrive, p_error):
         assert abs(fn(vacuum, eff, 0.0)) < 1e-15
     # vacuum gains and no dark counts leave no single-photon gain
-    assert decoy._bounds(0.0, 0.0, 0.0, GYS.replace(dark_count=0.0))[1] == 0.0
+    assert decoy._bounds_for(GYS.replace(dark_count=0.0))(0.0, 0.0, 0.0)[1] == 0.0
 
     elapsed = time.monotonic() - start
     report(7, True, f"identity/equivalence/sign/endpoint properties hold, {elapsed:.1f}s")

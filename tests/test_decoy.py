@@ -2,13 +2,21 @@
 series over photon-number yields."""
 
 import math
+import random
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from decoy_fsa import decoy
-from decoy_fsa.decoy import RateReport, binary_entropy, decoy_bounds, evaluate, key_rate
+from decoy_fsa.decoy import (
+    RateReport,
+    attack_curve,
+    binary_entropy,
+    decoy_bounds,
+    evaluate,
+    key_rate,
+)
 from decoy_fsa.model import GYS
 from decoy_fsa.observables import (
     Baseline,
@@ -18,7 +26,7 @@ from decoy_fsa.observables import (
     QND,
     observables_for,
 )
-from reference import photon_gain, q1_series
+from reference import one_pass_report, photon_gain, q1_series
 
 # Frozen with 40-digit arithmetic.
 H2_011 = 0.49991595816452800
@@ -292,6 +300,43 @@ def test_evaluate_is_pinned_bit_for_bit(e_detector, distance, label):
     assert report[-1] == expected[-1] or math.isnan(report[-1]) and math.isnan(expected[-1])
 
 
+# Declared before the first run of the test below.
+CURVE_SEED = 20261021
+
+
+def _outcome(run):
+    """``repr`` of the report, which tells every float bit and nan apart, or the error raised."""
+    try:
+        return repr(run())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_attack_curve_is_evaluate_bit_for_bit():
+    # One curve per (params, k, eta_e) and five intensities on it, 0 and 2000 among them.
+    # Both must equal the pipeline written out point by point in its earlier order.
+    rng = random.Random(CURVE_SEED)
+    degenerate = 0
+    for _ in range(300):
+        params = GYS.replace(
+            dark_count=rng.choice((0.0, 1.7e-6, 1e-3, 0.05)),
+            e_detector=rng.choice((0.0, 0.01, 0.033)),
+            distance=rng.uniform(0.0, 200.0),
+        )
+        k = rng.uniform(1.0, 1000.0)
+        pnrd = rng.random() < 0.5
+        eta_e = rng.choice((1.0, rng.uniform(0.01, 1.0))) if pnrd else 1.0
+        curve = attack_curve(params, k, eta_e, pnrd)
+        for mu_prime in (0.0, 2000.0, *(rng.uniform(0.0, 2000.0) for _ in range(3))):
+            strategy = PNRD(mu_prime, k, eta_e) if pnrd else QND(mu_prime, k)
+            expected = _outcome(lambda: one_pass_report(params, strategy))
+            assert _outcome(lambda: curve(mu_prime)) == expected, (params, strategy)
+            assert _outcome(lambda: evaluate(params, strategy)) == expected, (params, strategy)
+            degenerate += expected == (DegenerateObservablesError,
+                                       "signal gain is zero; QBER undefined")
+    assert degenerate  # no faked states and no darks: the checks ran on the curve too
+
+
 def _crossing(params_for, lo, hi):
     """Bisect the R = 0 distance of a strategy pipeline."""
     for _ in range(60):
@@ -335,10 +380,10 @@ DARK_COUNTS = (0.0, 1.7e-6, 1e-3, 0.05)
 
 
 def q1_bound(yields, mu, nu, dark_count):
-    """``_bounds``' Q1 and clamp flag on the gains that photon-number yields give."""
+    """``_bounds_for``' Q1 and clamp flag on the gains that photon-number yields give."""
     params = GYS.replace(mu=mu, nu=nu, dark_count=dark_count)
     q_mu, q_nu = (photon_gain(x, yields, dark_count) for x in (mu, nu))
-    _, q1, _, clamped = decoy._bounds(q_mu, q_nu, 0.0, params)
+    _, q1, _, clamped = decoy._bounds_for(params)(q_mu, q_nu, 0.0)
     return q1, clamped
 
 

@@ -24,6 +24,25 @@ COARSE_GRID = tuple(float(x) for x in range(0, 2001, 10))
 FIG4_DISTANCES = (1.0,) + tuple(float(x) for x in range(10, 141, 10))
 
 
+def count_curve_points(monkeypatch):
+    """Count the mu' points the search evaluates on its attack curves; returns the reader."""
+    calls = 0
+    attack_curve = search.attack_curve
+
+    def counted_curve(*args):
+        curve = attack_curve(*args)
+
+        def point(mu_prime):
+            nonlocal calls
+            calls += 1
+            return curve(mu_prime)
+
+        return point
+
+    monkeypatch.setattr(search, "attack_curve", counted_curve)
+    return lambda: calls
+
+
 class TestBestRateOverMuPrime:
     def test_no_mismatch_is_infeasible(self):
         _, best = best_rate_over_mu_prime(GYS.replace(distance=100.0), 1.0, COARSE_GRID)
@@ -79,6 +98,32 @@ class TestBestRateOverMuPrime:
         # point is degenerate.
         params = GYS.replace(dark_count=0.0, distance=900.0)
         assert best_rate_over_mu_prime(params, 1000.0, (0.0, 10.0, 2000.0)) == (0.0, -math.inf)
+
+    @pytest.mark.parametrize("mu_prime", [-1.0, math.inf, math.nan])
+    def test_bad_intensity_rejected_by_name(self, mu_prime):
+        with pytest.raises(ValueError, match="mu_prime must be finite and non-negative"):
+            best_rate_over_mu_prime(GYS, 310.0, (0.0, mu_prime))
+
+    @pytest.mark.parametrize("params, k, message", [
+        (GYS, 0.5, "k must be >= 1"),
+        (GYS.replace(eta_bob=1.0, distance=0.0), 2e4, "exceeds 1"),
+    ], ids=["k-below-1", "k-blind-above-1"])
+    def test_bad_mismatch_rejected_before_any_point(self, monkeypatch, params, k, message):
+        points = count_curve_points(monkeypatch)
+        for search_at in (lambda: best_rate_over_mu_prime(params, k, COARSE_GRID),
+                          lambda: sweep_grid(params, (k,), COARSE_GRID)):
+            with pytest.raises(ValueError, match=message):
+                search_at()
+        assert points() == 0
+
+    def test_degenerate_point_reads_minus_inf(self):
+        # Without dark counts and faked states the gain is zero: the search reads -inf
+        # there, where evaluate raises.
+        params = GYS.replace(dark_count=0.0)
+        assert best_rate_over_mu_prime(params, 310.0, (0.0,)) == (0.0, -math.inf)
+        assert sweep_grid(params, (310.0,), (0.0,))[0].rate == -math.inf
+        with pytest.raises(DegenerateObservablesError):
+            evaluate(params, QND(mu_prime=0.0, k=310.0))
 
 
 class TestKmin:
@@ -296,18 +341,10 @@ class TestKminEarlyStop:
     def test_fig4_evaluation_budget(self, monkeypatch):
         # The full search at every probe took 41,370 evaluations here, probes that
         # stop at the first positive rate 15,428, and dropping the k = 1 probe 12,248.
-        calls = 0
-        evaluate = search.evaluate
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return evaluate(*args)
-
-        monkeypatch.setattr(search, "evaluate", counted)
+        points = count_curve_points(monkeypatch)
         for distance in FIG4_DISTANCES:
             k_min(GYS.replace(distance=distance))
-        assert calls <= 12_248
+        assert points() == 12_248
 
     def test_grid_edge_flag(self):
         edge = {d: k_min(GYS.replace(distance=d)).on_grid_edge for d in FIG4_DISTANCES}
@@ -340,6 +377,12 @@ class TestSweepGrid:
         assert rows[0].rate == direct
         assert rows[0].feasible
 
+    def test_fig2_evaluation_budget(self, monkeypatch, tmp_path):
+        # One curve point per grid cell: 100 k values by 101 intensities.
+        points = count_curve_points(monkeypatch)
+        assert cli.main(["sweep", "--recipe", "fig2", "--out", str(tmp_path / "fig2.csv")]) == 0
+        assert points() == 10_100
+
     def test_published_tuple_row_positive(self):
         params = GYS.replace(distance=100.0)
         rows = sweep_grid(params, (1.0, 310.0), (100.0, 300.0))
@@ -366,27 +409,35 @@ class TestSweepGrid:
 
 class TestDistanceScan:
     def test_baseline_positive_region_regression(self):
-        rows = distance_scan(GYS, Baseline(), tuple(float(x) for x in range(0, 201, 1)))
+        rows = distance_scan(GYS, (Baseline(),), tuple(float(x) for x in range(0, 201, 1)))
         last_positive = max(row.distance for row in rows if row.rate > 0.0)
         assert last_positive == 157.0
 
     def test_qnd_positive_region_regression(self):
         rows = distance_scan(
-            GYS, QND(mu_prime=300.0, k=310.0), tuple(float(x) for x in range(0, 201, 1))
+            GYS, (QND(mu_prime=300.0, k=310.0),), tuple(float(x) for x in range(0, 201, 1))
         )
         last_positive = max(row.distance for row in rows if row.rate > 0.0)
         assert last_positive == 169.0
 
     def test_r_absolute_only_on_pnrd_rows(self):
         distances = (50.0, 100.0)
-        pnrd_rows = distance_scan(GYS, PNRD(mu_prime=900.0, k=1000.0, eta_e=0.1), distances)
+        pnrd_rows = distance_scan(GYS, (PNRD(mu_prime=900.0, k=1000.0, eta_e=0.1),), distances)
         assert all(not math.isnan(row.r_absolute) for row in pnrd_rows)
-        qnd_rows = distance_scan(GYS, QND(mu_prime=300.0, k=310.0), distances)
+        qnd_rows = distance_scan(GYS, (QND(mu_prime=300.0, k=310.0),), distances)
         assert all(math.isnan(row.r_absolute) for row in qnd_rows)
+
+    def test_rows_are_strategy_major(self):
+        strategies = (Baseline(), QND(mu_prime=300.0, k=310.0))
+        distances = (10.0, 50.0, 100.0)
+        rows = distance_scan(GYS, strategies, distances)
+        assert rows == [row for s in strategies for row in distance_scan(GYS, (s,), distances)]
+        assert [(row.strategy, row.distance) for row in rows] == [
+            (label, d) for label in ("baseline", "qnd") for d in distances]
 
     def test_degenerate_distance_is_flagged_not_fatal(self):
         params = GYS.replace(dark_count=0.0)
-        rows = distance_scan(params, QND(mu_prime=0.0, k=310.0), (10.0, 50.0))
+        rows = distance_scan(params, (QND(mu_prime=0.0, k=310.0),), (10.0, 50.0))
         assert [row.flags for row in rows] == ["degenerate", "degenerate"]
         assert all(math.isnan(row.rate) for row in rows)
 
@@ -407,7 +458,7 @@ class TestDistanceScan:
         assert out.read_bytes() == (",".join(SCAN_HEADER) + "\r\n").encode()
 
     def test_csv_serialization(self, tmp_path):
-        rows = distance_scan(GYS, Baseline(), (10.0, 100.0))
+        rows = distance_scan(GYS, (Baseline(),), (10.0, 100.0))
         out = tmp_path / "scan.csv"
         write_csv(out, SCAN_HEADER, rows)
         text = out.read_text().splitlines()
