@@ -33,7 +33,6 @@ from .oracle import binomial_verdict, simulate_pulses
 VALIDATE_HEADER = (
     "strategy", "L", "quantity", "analytic", "empirical", "sigma", "z", "pass",
 )
-_VALIDATE_CSV = "validate.csv"  # validate's --out when none (or an empty one) is given
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -173,6 +172,16 @@ def _resolve_recipe_flags(args: argparse.Namespace) -> None:
     vars(args).update({name: v for name, v in values.items() if getattr(args, name) is None})
 
 
+def _output_path(args: argparse.Namespace) -> str | None:
+    """``--out``, else the command's default, named by its recipe if any; rate has none."""
+    if args.out or args.command == "rate":
+        return args.out
+    if args.command == "validate":
+        return "validate.csv"
+    name = {"sweep": "grid", "kmin": "scan"}.get(args.command) or args.strategy
+    return f"{args.command}_{args.recipe or name}.csv"
+
+
 def _check_output_paths(args: argparse.Namespace) -> None:
     """Reject an output path the command could not create or would write twice, before any work.
 
@@ -189,7 +198,7 @@ def _check_output_paths(args: argparse.Namespace) -> None:
             if config and os.path.realpath(path) == config:
                 raise ConfigError(f"--{name} {path!r} would overwrite the --config file")
     manifest = getattr(args, "manifest", None)
-    if manifest and os.path.realpath(manifest) == os.path.realpath(args.out or _VALIDATE_CSV):
+    if manifest and os.path.realpath(manifest) == os.path.realpath(args.out):
         raise ConfigError(f"--manifest and --out name the same file {manifest!r}")
 
 
@@ -252,10 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(args: argparse.Namespace, default: str, header: Sequence[str], rows: list) -> None:
-    out = args.out or default
-    search.write_csv(out, header, rows)
-    print(f"wrote {len(rows)} rows to {out}")
+def _write(args: argparse.Namespace, header: Sequence[str], rows: list) -> None:
+    search.write_csv(args.out, header, rows)
+    print(f"wrote {len(rows)} rows to {args.out}")
 
 
 def _cmd_rate(args: argparse.Namespace, params: SystemParams) -> int:
@@ -272,8 +280,7 @@ def _cmd_scan(args: argparse.Namespace, params: SystemParams) -> int:
     distances = _distances(args.distances)
     strategies = _build_strategies(args, params, distances)
     rows = search.distance_scan(params, strategies, distances)
-    _write(args, f"scan_{args.recipe or strategy_label(strategies[0])}.csv",
-           search.SCAN_HEADER, rows)
+    _write(args, search.SCAN_HEADER, rows)
     return EXIT_OK
 
 
@@ -283,7 +290,7 @@ def _cmd_sweep(args: argparse.Namespace, params: SystemParams) -> int:
     mu_prime_values = _grid_values(args.mu_prime_values, "--mu-prime-values", 0.0, math.inf)
     _check_reach(params, k_values[-1], (params.distance,), ("k_values", "distance"))
     rows = search.sweep_grid(params, k_values, mu_prime_values, _search_eta_e(args))
-    _write(args, f"sweep_{args.recipe or 'grid'}.csv", search.SWEEP_HEADER, rows)
+    _write(args, search.SWEEP_HEADER, rows)
     return EXIT_OK
 
 
@@ -295,7 +302,7 @@ def _cmd_kmin(args: argparse.Namespace, params: SystemParams) -> int:
     _check_reach(params, search.K_MAX, distances, ("distances",))
     rows = [search.k_min(params.replace(distance=distance), tol=args.tol, eta_e=eta_e)
             for distance in distances]
-    _write(args, f"kmin_{args.recipe or 'scan'}.csv", search.KMIN_HEADER, rows)
+    _write(args, search.KMIN_HEADER, rows)
     return EXIT_OK
 
 
@@ -330,7 +337,7 @@ def _cmd_validate(args: argparse.Namespace, params: SystemParams) -> int:
             failed.append(f"{name} ({'beyond 3 sigma' if trials else 'no trials'})")
         rows.append((strategy_label(strategy), params.distance, name,
                      analytic, getattr(empirical, name), sigma, z, ok))
-    _write(args, _VALIDATE_CSV, VALIDATE_HEADER, rows)
+    _write(args, VALIDATE_HEADER, rows)
     if args.manifest:
         Path(args.manifest).write_text(empirical.manifest_json())
         print(f"wrote run manifest to {args.manifest}")
@@ -354,6 +361,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _resolve_recipe_flags(args)
+        args.out = _output_path(args)
         _check_output_paths(args)
         return _COMMANDS[args.command](args, _load_params(args))
     except SystemExit as exc:  # argparse's: 2 for a malformed flag, 0 after --help

@@ -14,8 +14,8 @@ from . import security
 from .model import SystemParams
 from .observables import (
     PNRD,
-    QND,
     AttackStrategy,
+    DegenerateObservablesError,
     Observables,
     checked_qber,
     rates_for,
@@ -129,26 +129,26 @@ def _report(rates: tuple, bounds: Callable, params: SystemParams, pnrd: bool) ->
     return RateReport(q_mu, q_nu, emu_qmu, enu_qnu, y1, q1, e1, clamped, rate, r_abs)
 
 
-def attack_curve(
-    params: SystemParams, k: float, eta_e: float, pnrd: bool
-) -> Callable[[float], RateReport]:
-    """The attack's :class:`RateReport` as a function of mu_prime at fixed (params, k, eta_e).
+def attack_curve(params: SystemParams, k: float, eta_e: float) -> Callable[[float], float]:
+    """The attacked key rate as a function of mu_prime at fixed (params, k, eta_e).
 
     Everything that does not depend on mu_prime (the efficiencies, the gated
     shares p_single and the bounds' constants) is computed once, and k and eta_e
-    are checked here; each call checks its mu_prime.  ``r_absolute`` is NaN
-    unless ``pnrd``: QND is the PNRD attack at eta_e = 1 without the residual rate.
+    are checked here; each call checks its mu_prime.  A degenerate point (zero
+    gain: no faked states, no darks) has nothing to distill and reads -inf.
     """
     rates, bounds = resend_curve(params, k, eta_e), _bounds_for(params)
-    return lambda mu_prime: _report(rates(mu_prime), bounds, params, pnrd)
+
+    def rate(mu_prime: float) -> float:
+        try:
+            return _report(rates(mu_prime), bounds, params, False).rate
+        except DegenerateObservablesError:
+            return -math.inf
+
+    return rate
 
 
 def evaluate(params: SystemParams, strategy: AttackStrategy) -> RateReport:
-    """Full pipeline in one pass: observables -> decoy bounds -> rate (-> residual secure rate).
-
-    An attack is its :func:`attack_curve` at the strategy's mu_prime.
-    """
-    if isinstance(strategy, (QND, PNRD)):
-        curve = attack_curve(params, strategy.k, strategy.eta_e, isinstance(strategy, PNRD))
-        return curve(strategy.mu_prime)
-    return _report(rates_for(params, strategy), _bounds_for(params), params, False)
+    """Full pipeline in one pass: observables -> decoy bounds -> rate (-> residual secure rate)."""
+    return _report(rates_for(params, strategy), _bounds_for(params), params,
+                   isinstance(strategy, PNRD))

@@ -1,15 +1,14 @@
 """Parameter exploration: feasibility sweeps, per-distance optima, and the k_min curve.
 
 All operations are deterministic pure functions of their inputs; grid rows come
-out in a fixed order (k-major, then mu_prime) so repeated runs and distributed
-evaluations merge identically.
+out in a fixed order (k-major, then mu_prime).
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .decoy import attack_curve, evaluate
 from .model import SystemParams
@@ -20,6 +19,7 @@ K_MAX = 1000.0
 # Coarse/fine grids of the two-stage intensity search.
 COARSE_MU_STEP = 10.0
 COARSE_MU_MAX = 2000.0
+COARSE_MU_GRID = tuple(i * COARSE_MU_STEP for i in range(int(COARSE_MU_MAX / COARSE_MU_STEP) + 1))
 FINE_MU_STEP = 1.0
 
 FLOAT_FMT = "%.17g"
@@ -69,20 +69,6 @@ KMIN_HEADER = _header(KminResult)
 SCAN_HEADER = _header(ScanRow)
 
 
-def _rate_curve(params: SystemParams, k: float, eta_e: float) -> Callable[[float], float]:
-    """The attacked key rate along mu_prime; a degenerate point (zero gain: no faked
-    states, no darks) has nothing to distill and reads -inf."""
-    curve = attack_curve(params, k, eta_e, False)  # the search reads no residual rate
-
-    def rate(mu_prime: float) -> float:
-        try:
-            return curve(mu_prime).rate
-        except DegenerateObservablesError:
-            return -math.inf
-
-    return rate
-
-
 def best_rate_over_mu_prime(
     params: SystemParams,
     k: float,
@@ -98,7 +84,7 @@ def best_rate_over_mu_prime(
     """
     if len(mu_primes) == 0:
         raise ValueError("mu_prime grid must be non-empty")
-    rate = _rate_curve(params, k, eta_e)
+    rate = attack_curve(params, k, eta_e)
     return _best(mu_primes, [rate(mu_prime) for mu_prime in mu_primes])
 
 
@@ -114,14 +100,13 @@ def _probe(params: SystemParams, k: float, eta_e: float, argmax: bool) -> tuple[
     down and stops at the first positive rate, since the fine grid holds the
     coarse argmax.
     """
-    coarse = [i * COARSE_MU_STEP for i in range(int(COARSE_MU_MAX / COARSE_MU_STEP) + 1)]
-    rate = _rate_curve(params, k, eta_e)
+    rate = attack_curve(params, k, eta_e)
     rates = []
-    for mu_prime in reversed(coarse):
+    for mu_prime in reversed(COARSE_MU_GRID):
         rates.append(rate(mu_prime))
         if rates[-1] > 0.0 and not argmax:
             return mu_prime, rates[-1]
-    mu_star, _ = _best(coarse, rates[::-1])
+    mu_star, _ = _best(COARSE_MU_GRID, rates[::-1])
     lo = max(0.0, mu_star - COARSE_MU_STEP)
     hi = min(COARSE_MU_MAX, mu_star + COARSE_MU_STEP)
     fine = [lo + i * FINE_MU_STEP for i in range(int(round((hi - lo) / FINE_MU_STEP)) + 1)]
@@ -161,7 +146,7 @@ def sweep_grid(
     """
     rows = []
     for k in k_values:
-        rate_at = _rate_curve(params, k, eta_e)
+        rate_at = attack_curve(params, k, eta_e)
         for mu_prime in mu_prime_values:
             rate = rate_at(mu_prime)
             rows.append(SweepRow(k=k, mu_prime=mu_prime, rate=rate, feasible=rate > 0.0))

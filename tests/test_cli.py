@@ -493,24 +493,26 @@ class TestSweepAndKmin:
         assert flag in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    # Each argv starts with the config file's name; the last names it by the default output.
     @pytest.mark.parametrize("argv, flag", [
-        (["scan", "--distances", "10", "--out", "{config}"], "--out"),
-        (["validate", "--n-pulses", "1000", "--out", "v.csv", "--manifest", "./{config}"],
-         "--manifest"),
+        (["c.json", "scan", "--distances", "10", "--out", "{config}"], "--out"),
+        (["c.json", "validate", "--n-pulses", "1000", "--out", "v.csv",
+          "--manifest", "./{config}"], "--manifest"),
+        (["kmin_scan.csv", "kmin", "--distances", "50"], "--out"),
     ])
     def test_output_naming_the_config_file_is_rejected(self, tmp_path, monkeypatch, capsys,
                                                        argv, flag):
         # The parameter file would be replaced by the output and unreadable next run.
         monkeypatch.chdir(tmp_path)
-        config = tmp_path / "c.json"
+        name, command, *flags = argv
+        config = tmp_path / name
         config.write_text(json.dumps({"distance": 50}))
         before = config.read_bytes()
         # The config is named by its absolute path, the output relative to the working directory.
-        command, *flags = argv
         assert main([command, "--config", str(config)]
-                    + [arg.format(config="c.json") for arg in flags]) == EXIT_CONFIG
+                    + [arg.format(config=name) for arg in flags]) == EXIT_CONFIG
         assert flag in capsys.readouterr().err
-        assert os.listdir(tmp_path) == ["c.json"] and config.read_bytes() == before
+        assert os.listdir(tmp_path) == [name] and config.read_bytes() == before
 
 
 class TestValidate:

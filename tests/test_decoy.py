@@ -167,7 +167,9 @@ class TestQ1Lower:
         monkeypatch.setattr(decoy, "rates_for", lambda p, s: (*fields.values(), 0.0, 0.0))
         for entry in (lambda: Observables(**fields),
                       lambda: decoy_bounds(obs_with(**fields), GYS),
-                      lambda: evaluate(GYS, Baseline())):
+                      lambda: evaluate(GYS, Baseline()),
+                      lambda: evaluate(GYS, QND(300.0, 310.0)),
+                      lambda: evaluate(GYS, PNRD(900.0, 1000.0, 0.1))):
             with pytest.raises(ValueError) as raised:
                 entry()
             assert not isinstance(raised.value, DegenerateObservablesError)
@@ -314,7 +316,8 @@ def _outcome(run):
 
 def test_attack_curve_is_evaluate_bit_for_bit():
     # One curve per (params, k, eta_e) and five intensities on it, 0 and 2000 among them.
-    # Both must equal the pipeline written out point by point in its earlier order.
+    # evaluate's report and the curve's rate must equal the pipeline written out point by
+    # point in its earlier order; the curve reads -inf where that pipeline is degenerate.
     rng = random.Random(CURVE_SEED)
     degenerate = 0
     for _ in range(300):
@@ -326,14 +329,17 @@ def test_attack_curve_is_evaluate_bit_for_bit():
         k = rng.uniform(1.0, 1000.0)
         pnrd = rng.random() < 0.5
         eta_e = rng.choice((1.0, rng.uniform(0.01, 1.0))) if pnrd else 1.0
-        curve = attack_curve(params, k, eta_e, pnrd)
+        curve = attack_curve(params, k, eta_e)
         for mu_prime in (0.0, 2000.0, *(rng.uniform(0.0, 2000.0) for _ in range(3))):
             strategy = PNRD(mu_prime, k, eta_e) if pnrd else QND(mu_prime, k)
             expected = _outcome(lambda: one_pass_report(params, strategy))
-            assert _outcome(lambda: curve(mu_prime)) == expected, (params, strategy)
             assert _outcome(lambda: evaluate(params, strategy)) == expected, (params, strategy)
-            degenerate += expected == (DegenerateObservablesError,
-                                       "signal gain is zero; QBER undefined")
+            is_degenerate = expected == (DegenerateObservablesError,
+                                         "signal gain is zero; QBER undefined")
+            rate = repr(-math.inf) if is_degenerate else _outcome(
+                lambda: one_pass_report(params, strategy).rate)
+            assert _outcome(lambda: curve(mu_prime)) == rate, (params, strategy)
+            degenerate += is_degenerate
     assert degenerate  # no faked states and no darks: the checks ran on the curve too
 
 
